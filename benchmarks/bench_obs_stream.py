@@ -4,7 +4,7 @@ Two guards keep ``repro.obs.stream`` honest:
 
 * **Disabled overhead** — with no stream installed the hot seams pay one
   attribute load + ``is None`` test per standby cycle (plus one
-  ``active_stream()`` lookup per run).  The fig2 bench prices that guard
+  ``active().stream`` lookup per run).  The fig2 bench prices that guard
   directly and asserts it stays under 5% of the dark run.
 * **Enabled overhead** — streaming a 7-day cycle-compiled macro run
   (heartbeats + bounded histograms per macro step) must stay cheap
@@ -28,7 +28,8 @@ import pytest
 from repro.config import StandbyWorkloadConfig
 from repro.core.experiments import fig2_connected_standby
 from repro.core.odrips import ODRIPSController
-from repro.obs.stream import TelemetryStream, active_stream, streaming
+from repro.obs.hook import active, observe
+from repro.obs.stream import TelemetryStream
 from repro.sim.macro import cycles_for_horizon
 
 from _bench import run_once
@@ -83,11 +84,11 @@ def _guard_cost_s() -> float:
 
 
 def _lookup_cost_s() -> float:
-    """Price one ``active_stream()`` lookup (paid once per run/measure)."""
+    """Price one ``active().stream`` lookup (paid once per run/measure)."""
     iterations = 100_000
     t0 = time.perf_counter()
     for _ in range(iterations):
-        active_stream()
+        active().stream
     return (time.perf_counter() - t0) / iterations
 
 
@@ -95,7 +96,7 @@ def test_stream_overhead_fig2(benchmark, emit):
     """Telemetry disabled on fig2: the guard must cost under 5% of the run.
 
     The disabled path's *only* added work is the per-cycle guard and two
-    ``active_stream()`` lookups, so the overhead is priced analytically
+    ``active().stream`` lookups, so the overhead is priced analytically
     (micro-benched guard cost x guard evaluations / dark wall) — the
     delta is far below run-to-run simulation noise, so an A/B wall-clock
     diff could not resolve it.  A streamed run is also timed for the
@@ -110,7 +111,7 @@ def test_stream_overhead_fig2(benchmark, emit):
 
     stream = TelemetryStream()
     t0 = time.perf_counter()
-    with streaming(stream):
+    with observe(stream=stream):
         lit = fig2_connected_standby(cycles=cycles)
     enabled_s = time.perf_counter() - t0
 
@@ -126,7 +127,7 @@ def test_stream_overhead_fig2(benchmark, emit):
 
     guard_s = _guard_cost_s()
     lookup_s = _lookup_cost_s()
-    # one guard per standby cycle + one active_stream() in run() and one
+    # one guard per standby cycle + one active().stream in run() and one
     # in measure()
     cycles_run = stream.heartbeats["runner"]["done"]
     disabled_overhead_s = guard_s * cycles_run + lookup_s * 2
@@ -169,7 +170,7 @@ def test_stream_overhead_week(benchmark, emit):
     dark_s = time.perf_counter() - t0
 
     stream = TelemetryStream()
-    with streaming(stream):
+    with observe(stream=stream):
         lit = run_once(
             benchmark, ODRIPSController().measure_raw, cycles=cycles, macro=True
         )

@@ -19,7 +19,8 @@ import pytest
 from repro.check import check_standby_model
 from repro.core.experiments import fig2_connected_standby, fig6b_core_frequency
 from repro.measure.analyzer import PowerAnalyzer
-from repro.obs.tracer import observe
+from repro.obs.hook import observe
+from repro.obs.tracer import Tracer
 from repro.perf import SimulationCache
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder
@@ -192,7 +193,7 @@ def test_tracer_overhead_on_fig2(benchmark, emit):
     enabled_samples = []
     for _ in range(3):
         t0 = time.perf_counter()
-        with observe():
+        with observe(tracer=Tracer()):
             fig2_connected_standby(cycles=1)
         enabled_samples.append(time.perf_counter() - t0)
     enabled_s = min(enabled_samples)

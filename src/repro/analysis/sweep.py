@@ -21,8 +21,9 @@ from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.effects import declares_effects
 from repro.errors import AnalysisError
-from repro.obs.runlog import active_recorder, host_wall_s
-from repro.obs.stream import active_stream, record_worker_point
+from repro.obs.hook import active
+from repro.obs.runlog import host_wall_s
+from repro.obs.stream import record_worker_point
 
 Value = TypeVar("Value")
 
@@ -89,21 +90,22 @@ def sweep(
     explicitly still forces a pool of that size.
 
     When a flight recorder is installed
-    (:func:`repro.obs.runlog.active_recorder`) the sweep contributes its
+    (``obs.observe(recorder=...)``) the sweep contributes its
     fan-out shape — point count, parallelism, backend, per-point wall
     times, and the worker process ids that served them — to the
     enclosing run record.
 
     When a telemetry stream is installed
-    (:func:`repro.obs.stream.active_stream`) the sweep emits live
+    (``obs.observe(stream=...)``) the sweep emits live
     progress: bounded ``sweep.point_result``/``sweep.point_wall_s``
     histograms plus a ``sweep`` heartbeat per completed point on the
     parent side, per-worker heartbeat files on the worker side (with the
     stream's ``heartbeat_dir`` set), merged back after the pool drains.
     """
     values = list(parameter_values)
-    recorder = active_recorder()
-    stream = active_stream()
+    observation = active()
+    recorder = observation.recorder
+    stream = observation.stream
     observed = recorder is not None or stream is not None
     start_s = host_wall_s() if observed else 0.0
     serial_fallback = (

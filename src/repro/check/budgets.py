@@ -42,6 +42,7 @@ from repro.check.rules import C601_RULE, C602_RULE, C603_RULE, C604_RULE, C605_R
 from repro.check.ts import ComposedState, TransitionSystem
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.model import ModelView
+from repro.measure.residency import clipped_intervals
 from repro.units import PICOSECONDS_PER_SECOND, seconds_to_ps
 
 #: Fallback probe cycle when the declaration is missing or malformed.
@@ -55,18 +56,9 @@ _DEFAULT_PROBE_MAINTENANCE_S = 0.002
 
 
 def _integrate(trace: Any, channel: str, start_ps: int, end_ps: int) -> Fraction:
-    """Exact energy (joules) of ``channel`` over ``[start_ps, end_ps)``.
-
-    The trace's first interval may begin before ``start_ps`` (it reports
-    the value that was already current); clip it so the integral covers
-    exactly the requested window.
-    """
+    """Exact energy (joules) of ``channel`` over ``[start_ps, end_ps)``."""
     total = Fraction(0)
-    for left, right, value in trace.intervals(channel, end_ps, start_ps):
-        left = max(left, start_ps)
-        right = min(right, end_ps)
-        if right <= left:
-            continue
+    for left, right, value in clipped_intervals(trace, channel, start_ps, end_ps):
         total += Fraction(value) * Fraction(right - left, PICOSECONDS_PER_SECOND)
     return total
 

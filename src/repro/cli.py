@@ -324,12 +324,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.errors import ConfigError
     from repro.obs.openmetrics import render_openmetrics
-    from repro.obs.stream import TelemetryStream, streaming
+    from repro.obs.stream import TelemetryStream
 
     target = args.target or "fig2"
     stream = TelemetryStream(heartbeat_dir=getattr(args, "heartbeat", None))
     try:
-        with streaming(stream):
+        with obs.observe(stream=stream):
             session = obs.run_traced(target, cycles=args.cycles)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -897,29 +897,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         args.cache_obj = SimulationCache()
 
-    tracer = None
-    if args.trace or args.metrics:
-        from repro import obs
+    from repro import obs
+    from repro.obs.profile import PhaseProfiler, host_phase
+    from repro.obs.runlog import RunRecorder
+    from repro.obs.stream import TelemetryStream
 
-        tracer = obs.install()
-    profiler = None
-    if args.profile:
-        from repro.obs.profile import PhaseProfiler, install_profiler
-
-        profiler = install_profiler(PhaseProfiler(track_allocations=True))
-    stream = None
-    if args.heartbeat is not None:
-        from repro.obs.stream import TelemetryStream, install_stream
-
-        stream = install_stream(TelemetryStream(heartbeat_dir=args.heartbeat))
-    recorder = None
-    if not args.no_runlog:
-        from repro.obs.runlog import install_recorder
-
-        recorder = install_recorder()
-    try:
-        from repro.obs.profile import host_phase
-
+    tracer = obs.Tracer() if args.trace or args.metrics else None
+    profiler = PhaseProfiler(track_allocations=True) if args.profile else None
+    stream = (
+        TelemetryStream(heartbeat_dir=args.heartbeat)
+        if args.heartbeat is not None
+        else None
+    )
+    recorder = None if args.no_runlog else RunRecorder()
+    with obs.observe(tracer=tracer, profiler=profiler, recorder=recorder, stream=stream):
         if args.experiment == "all":
             for name in ["table1", "fig1b", "fig2", "fig6a", "fig6b", "fig6c",
                          "fig6d", "latency", "calibration", "ablations"]:
@@ -929,26 +920,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             with host_phase("analyze"):
                 COMMANDS[args.experiment](args)
-    finally:
-        if stream is not None:
-            from repro.obs.stream import uninstall_stream
-
-            uninstall_stream()
-        if recorder is not None:
-            from repro.obs.runlog import uninstall_recorder
-
-            uninstall_recorder()
-        if profiler is not None:
-            from repro.obs.profile import uninstall_profiler
-
-            uninstall_profiler()
-        if tracer is not None:
-            from repro import obs
-
-            obs.uninstall()
     if tracer is not None:
-        from repro import obs
-
         print()
         print(obs.render_summary(tracer, include_spans=args.trace,
                                  profiler=profiler,

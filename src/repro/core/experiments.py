@@ -36,7 +36,8 @@ from repro.core.techniques import TechniqueSet
 from repro.analysis.breakdown import fig1b_shares
 from repro.analysis.breakeven import find_break_even
 from repro.analysis.sweep import sweep
-from repro.obs.runlog import active_recorder, host_wall_s
+from repro.obs.hook import active
+from repro.obs.runlog import host_wall_s
 from repro.perf.fingerprint import fingerprint
 from repro.timers.calibration import (
     fractional_bits_for_precision,
@@ -173,7 +174,7 @@ def experiment_driver(
 
         @functools.wraps(fn)
         def recorded(*args: Any, **kwargs: Any) -> Any:
-            recorder = active_recorder()
+            recorder = active().recorder
             if recorder is None:
                 return fn(*args, **kwargs)
             started_s = host_wall_s()

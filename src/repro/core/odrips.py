@@ -23,8 +23,8 @@ from repro.config import PlatformConfig, StandbyWorkloadConfig, skylake_config
 from repro.core.techniques import TechniqueSet
 from repro.obs.profile import host_phase
 from repro.effects import declares_effects
-from repro.obs.runlog import active_recorder, host_wall_s
-from repro.obs.stream import active_stream
+from repro.obs.hook import active
+from repro.obs.runlog import host_wall_s
 from repro.system.skylake import SkylakePlatform
 from repro.workloads.standby import ConnectedStandbyRunner, StandbyResult
 
@@ -135,11 +135,12 @@ class ODRIPSController:
         the memoized :class:`StandbyMeasurement` without re-simulating.
 
         When a flight recorder is installed
-        (:func:`repro.obs.runlog.active_recorder`) the measurement's host
+        (``obs.observe(recorder=...)``) the measurement's host
         wall time and cache-hit status are contributed to the run record.
         """
-        recorder = active_recorder()
-        stream = active_stream()
+        observation = active()
+        recorder = observation.recorder
+        stream = observation.stream
         start_s = (
             host_wall_s() if (recorder is not None or stream is not None) else 0.0
         )

@@ -28,8 +28,10 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from repro.errors import MeasurementError
+from repro.measure.residency import clipped_intervals
+from repro.obs.hook import active
 from repro.obs.profile import host_phase
-from repro.obs.tracer import MEASURE_TRACK, active as _active_tracer
+from repro.obs.tracer import MEASURE_TRACK
 from repro.sim.trace import TraceRecorder
 from repro.system.states import POWER_CHANNEL
 from repro.units import PICOSECONDS_PER_SECOND, us_to_ps
@@ -165,7 +167,7 @@ class PowerAnalyzer:
                 min_watts=min(values),
                 max_watts=max(values),
             )
-        tracer = _active_tracer()
+        tracer = active().tracer
         if tracer is not None:
             window = tracer.begin(
                 f"analyzer:{self.channel}",
@@ -182,9 +184,6 @@ class PowerAnalyzer:
         if end_ps <= start_ps:
             raise MeasurementError("empty measurement window")
         total = 0.0
-        for lo, hi, watts in self.trace.intervals(self.channel, end_ps, start_ps=start_ps):
-            lo = max(lo, start_ps)
-            hi = min(hi, end_ps)
-            if hi > lo:
-                total += watts * (hi - lo)
+        for lo, hi, watts in clipped_intervals(self.trace, self.channel, start_ps, end_ps):
+            total += watts * (hi - lo)
         return total / (end_ps - start_ps)

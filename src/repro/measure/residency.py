@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import MeasurementError
 from repro.sim.trace import TraceRecorder
@@ -18,10 +18,15 @@ from repro.system.states import POWER_CHANNEL, STATE_CHANNEL
 from repro.units import PICOSECONDS_PER_SECOND
 
 
-def _clipped_intervals(
+def clipped_intervals(
     trace: TraceRecorder, channel: str, start_ps: int, end_ps: int
-) -> List[Tuple[int, int, object]]:
-    """Step intervals of ``channel`` clipped to ``[start_ps, end_ps)``."""
+) -> List[Tuple[int, int, Any]]:
+    """Step intervals of ``channel`` clipped to ``[start_ps, end_ps)``.
+
+    The trace's first interval may begin before ``start_ps`` (it reports
+    the value that was already current); it is clipped so the intervals
+    cover exactly the requested window, and empty ones are dropped.
+    """
     out = []
     for lo, hi, value in trace.intervals(channel, end_ps, start_ps=start_ps):
         lo = max(lo, start_ps)
@@ -29,6 +34,16 @@ def _clipped_intervals(
         if hi > lo:
             out.append((lo, hi, value))
     return out
+
+
+def integrate_joules(
+    trace: TraceRecorder, channel: str, start_ps: int, end_ps: int
+) -> float:
+    """Exact integral of a piecewise-constant power channel, in joules."""
+    total = 0.0
+    for lo, hi, watts in clipped_intervals(trace, channel, start_ps, end_ps):
+        total += watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
+    return total
 
 
 def merge_state_power(
@@ -46,8 +61,8 @@ def merge_state_power(
     """
     if end_ps <= start_ps:
         raise MeasurementError("empty measurement window")
-    power_steps = _clipped_intervals(trace, POWER_CHANNEL, start_ps, end_ps)
-    state_steps = _clipped_intervals(trace, STATE_CHANNEL, start_ps, end_ps)
+    power_steps = clipped_intervals(trace, POWER_CHANNEL, start_ps, end_ps)
+    state_steps = clipped_intervals(trace, STATE_CHANNEL, start_ps, end_ps)
     if not power_steps or not state_steps:
         raise MeasurementError("trace has no samples inside the window")
     segments: List[Tuple[int, int, str, float]] = []
@@ -134,7 +149,7 @@ def residency_report(
 ) -> ResidencyReport:
     """Build a :class:`ResidencyReport` for the window."""
     report = ResidencyReport(window_ps=end_ps - start_ps)
-    for lo, hi, state in _clipped_intervals(trace, STATE_CHANNEL, start_ps, end_ps):
+    for lo, hi, state in clipped_intervals(trace, STATE_CHANNEL, start_ps, end_ps):
         report.dwell_ps[state] = report.dwell_ps.get(state, 0) + (hi - lo)
     report.energy_j = energy_by_state(trace, start_ps, end_ps)
     return report

@@ -15,18 +15,24 @@ heartbeats, and rolling windows feeding the
 :mod:`~repro.obs.openmetrics` exposition and the
 :mod:`~repro.obs.dash` fleet dashboard).
 
+All four sinks are installed through one hook (:mod:`repro.obs.hook`):
+:func:`observe` installs any of them for a ``with`` block, inheriting
+the rest from the enclosing block, and :func:`active` is what the
+instrumented seams read.
+
 Quick start::
 
     from repro import obs
     from repro.core import ODRIPSController, TechniqueSet
 
-    with obs.observe() as tracer:
+    tracer = obs.Tracer()
+    with obs.observe(tracer=tracer):
         ODRIPSController(TechniqueSet.odrips()).measure(cycles=1)
     print(obs.render_summary(tracer))
     obs.write_chrome_trace(tracer, "trace.json", platform=tracer.platforms[-1])
 
 Instrumentation is opt-in and zero-cost when disabled: the hot seams
-guard on one ``obs is not None`` attribute check, and tracer state never
+guard on one ``obs is not None`` attribute check, and observation never
 perturbs simulated time or the :mod:`repro.perf` cache fingerprints.
 
 The exporters and the traced runner are loaded lazily (PEP 562): the
@@ -36,6 +42,7 @@ instrumented modules (kernel, flows, PMU, cache, analyzer) import
 :mod:`repro.core`.
 """
 
+from repro.obs.hook import Observation, active, observe
 from repro.obs.ledger import EnergyLedger, LedgerCell
 from repro.obs.metrics import (
     BoundedHistogram,
@@ -56,10 +63,6 @@ from repro.obs.tracer import (
     Instant,
     Span,
     Tracer,
-    active,
-    install,
-    observe,
-    uninstall,
 )
 
 #: Lazily-resolved public names -> defining module (import-cycle guard).
@@ -87,27 +90,15 @@ _LAZY = {
     "render_explain": "repro.obs.diff",
     "validate_explain_payload": "repro.obs.diff",
     "PhaseProfiler": "repro.obs.profile",
-    "active_profiler": "repro.obs.profile",
     "host_phase": "repro.obs.profile",
-    "install_profiler": "repro.obs.profile",
-    "profiled": "repro.obs.profile",
-    "uninstall_profiler": "repro.obs.profile",
     "RunLog": "repro.obs.runlog",
     "RunRecorder": "repro.obs.runlog",
-    "active_recorder": "repro.obs.runlog",
     "git_revision": "repro.obs.runlog",
-    "install_recorder": "repro.obs.runlog",
-    "recording": "repro.obs.runlog",
-    "uninstall_recorder": "repro.obs.runlog",
     "RollingWindow": "repro.obs.stream",
     "TelemetryStream": "repro.obs.stream",
-    "active_stream": "repro.obs.stream",
-    "install_stream": "repro.obs.stream",
     "merge_worker_heartbeats": "repro.obs.stream",
     "read_heartbeat_dir": "repro.obs.stream",
     "record_worker_point": "repro.obs.stream",
-    "streaming": "repro.obs.stream",
-    "uninstall_stream": "repro.obs.stream",
     "openmetrics_lines": "repro.obs.openmetrics",
     "render_openmetrics": "repro.obs.openmetrics",
     "validate_openmetrics": "repro.obs.openmetrics",
@@ -135,6 +126,7 @@ __all__ = [
     "MACRO_TRACK",
     "MEASURE_TRACK",
     "MetricsRegistry",
+    "Observation",
     "PMU_TRACK",
     "PhaseProfiler",
     "RollingWindow",
@@ -148,9 +140,6 @@ __all__ = [
     "Tracer",
     "WAKE_TRACK",
     "active",
-    "active_profiler",
-    "active_recorder",
-    "active_stream",
     "attribution_cells",
     "build_causal_report",
     "build_dashboard",
@@ -162,30 +151,19 @@ __all__ = [
     "flow_critical_paths",
     "git_revision",
     "host_phase",
-    "install",
-    "install_profiler",
-    "install_recorder",
-    "install_stream",
     "jsonl_lines",
     "merge_worker_heartbeats",
     "observe",
     "openmetrics_lines",
     "profile_config",
-    "profiled",
     "read_heartbeat_dir",
     "record_worker_point",
-    "recording",
     "render_dashboard",
     "render_explain",
     "render_openmetrics",
     "render_profile",
     "render_summary",
     "run_traced",
-    "streaming",
-    "uninstall",
-    "uninstall_profiler",
-    "uninstall_recorder",
-    "uninstall_stream",
     "validate_explain_payload",
     "validate_openmetrics",
     "wake_cause",

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import MeasurementError
+from repro.measure.residency import clipped_intervals
 from repro.obs.ledger import RAIL_CHANNEL_PREFIX
 from repro.obs.tracer import (
     EDGE_COMPILED,
@@ -454,11 +455,7 @@ def attribution_cells(
     products: Dict[Tuple[str, str, str], List[float]] = {}
     for rail in rails:
         channel = RAIL_CHANNEL_PREFIX + rail
-        intervals = [
-            (max(lo, start_ps), min(hi, end_ps), watts)
-            for lo, hi, watts in trace.intervals(channel, end_ps, start_ps=start_ps)
-            if min(hi, end_ps) > max(lo, start_ps)
-        ]
+        intervals = clipped_intervals(trace, channel, start_ps, end_ps)
         index = 0
         for lo, hi, state, cause, _watts in segments:
             while index < len(intervals) and intervals[index][1] <= lo:

@@ -156,7 +156,8 @@ def profile_config(
     from repro.core.odrips import ODRIPSController
     from repro.obs.causal import attribution_cells
     from repro.obs.run import TRACE_CONFIGS
-    from repro.obs.tracer import observe
+    from repro.obs.hook import observe
+    from repro.obs.tracer import Tracer
     from repro.perf.fingerprint import fingerprint
 
     factory = TRACE_CONFIGS.get(target)
@@ -175,7 +176,8 @@ def profile_config(
     )
 
     def _build() -> RunProfile:
-        with observe() as tracer:
+        tracer = Tracer()
+        with observe(tracer=tracer):
             measurement = controller.measure(**measure_kwargs)
         if not tracer.platforms or tracer.window_ps is None:
             raise MeasurementError("profiled run recorded no measurement window")

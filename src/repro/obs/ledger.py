@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import MeasurementError
+from repro.measure.residency import integrate_joules
 from repro.sim.trace import TraceRecorder
 from repro.units import PICOSECONDS_PER_SECOND
 
@@ -28,19 +29,6 @@ if TYPE_CHECKING:
 
 #: Trace-channel prefix of the per-rail power channels.
 RAIL_CHANNEL_PREFIX = "rail:"
-
-
-def _integrate_joules(
-    trace: TraceRecorder, channel: str, start_ps: int, end_ps: int
-) -> float:
-    """Exact integral of a piecewise-constant power channel, in joules."""
-    total = 0.0
-    for lo, hi, watts in trace.intervals(channel, end_ps, start_ps=start_ps):
-        lo = max(lo, start_ps)
-        hi = min(hi, end_ps)
-        if hi > lo:
-            total += watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
-    return total
 
 
 @dataclass(frozen=True)
@@ -128,7 +116,7 @@ class EnergyLedger:
         ledger = cls(start_ps=start_ps, end_ps=end_ps)
         for channel in domains:
             name = channel[len(RAIL_CHANNEL_PREFIX):]
-            ledger.domain_energy_j[name] = _integrate_joules(
+            ledger.domain_energy_j[name] = integrate_joules(
                 trace, channel, start_ps, end_ps
             )
         for span in spans:
@@ -146,7 +134,7 @@ class EnergyLedger:
                         span_start_ps=span.start_ps,
                         span_end_ps=span.end_ps,
                         domain=name,
-                        energy_joules=_integrate_joules(trace, channel, lo, hi),
+                        energy_joules=integrate_joules(trace, channel, lo, hi),
                     )
                 )
         return ledger

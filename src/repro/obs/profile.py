@@ -13,10 +13,11 @@ allocations to the four phases every experiment decomposes into:
 * ``analyze`` — everything around them: driver glue, sweep fan-out,
   table formatting (the CLI opens this phase around each command).
 
-Hooks are context managers; instrumented seams guard on one
-``active_profiler() is None`` check, so the disabled path costs a single
-function call per seam — the same zero-cost discipline as the tracer,
-enforced by the 3% overhead guard in ``benchmarks/bench_perf_engine.py``.
+The instrumented seams call :func:`host_phase`, which reads the
+profiler from the one observation hook (:func:`repro.obs.hook.observe`);
+with no profiler installed a seam costs one ``None`` check — the same
+zero-cost discipline as the tracer, enforced by the 3% overhead guard in
+``benchmarks/bench_perf_engine.py``.
 
 Host time is exactly what lint rule S401 bans from simulation code, so
 the two clock reads below carry explicit ``lint: allow`` pragmas — this
@@ -26,7 +27,8 @@ Usage::
 
     from repro import obs
 
-    with obs.profiled(track_allocations=True) as profiler:
+    profiler = obs.PhaseProfiler(track_allocations=True)
+    with obs.observe(profiler=profiler):
         fig2_connected_standby(cycles=1)
     print(obs.render_profile(profiler))
 """
@@ -39,6 +41,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from repro.effects import declares_effects
+from repro.obs.hook import active
 
 #: The canonical phase names, in pipeline order.
 PHASE_BUILD = "build"
@@ -196,47 +199,6 @@ class PhaseProfiler:
         return {name: stats.to_json() for name, stats in self.stats().items()}
 
 
-# --- process-wide opt-in hook -------------------------------------------------
-
-_active: Optional[PhaseProfiler] = None
-
-
-def install_profiler(profiler: Optional[PhaseProfiler] = None) -> PhaseProfiler:
-    """Activate ``profiler`` (a fresh one when omitted) process-wide."""
-    global _active
-    if profiler is None:
-        profiler = PhaseProfiler()
-    _active = profiler
-    return profiler
-
-
-def uninstall_profiler() -> None:
-    """Deactivate phase profiling (the profiler keeps its records)."""
-    global _active
-    if _active is not None:
-        _active.close()
-    _active = None
-
-
-def active_profiler() -> Optional[PhaseProfiler]:
-    """The installed profiler, or ``None`` when profiling is disabled."""
-    return _active
-
-
-@contextmanager
-def profiled(
-    profiler: Optional[PhaseProfiler] = None, track_allocations: bool = False
-) -> Iterator[PhaseProfiler]:
-    """Context manager: install a phase profiler for a block."""
-    if profiler is None:
-        profiler = PhaseProfiler(track_allocations=track_allocations)
-    installed = install_profiler(profiler)
-    try:
-        yield installed
-    finally:
-        uninstall_profiler()
-
-
 @contextmanager
 def host_phase(name: str) -> Iterator[None]:
     """Instrumentation seam: a phase on the active profiler, or a no-op.
@@ -245,7 +207,7 @@ def host_phase(name: str) -> Iterator[None]:
     ``measure/analyzer.py`` call; with no profiler installed it is one
     ``None`` check.
     """
-    profiler = _active
+    profiler = active().profiler
     if profiler is None:
         yield None
         return

@@ -17,7 +17,8 @@ from repro.core.odrips import ODRIPSController, StandbyMeasurement
 from repro.core.techniques import TechniqueSet
 from repro.errors import ConfigError, MeasurementError
 from repro.obs.ledger import EnergyLedger
-from repro.obs.tracer import FLOW_STEP_TRACK, Tracer, observe
+from repro.obs.hook import observe
+from repro.obs.tracer import FLOW_STEP_TRACK, Tracer
 
 #: Traceable configurations: single-measurement technique sets.  ``fig2``
 #: is the paper's baseline standby run; the rest are the Fig. 6(a)/(d)
@@ -60,7 +61,8 @@ def run_traced(
     if factory is None:
         known = ", ".join(sorted(TRACE_CONFIGS))
         raise ConfigError(f"unknown trace target {experiment!r}; pick one of: {known}")
-    with observe() as tracer:
+    tracer = Tracer()
+    with observe(tracer=tracer):
         controller = ODRIPSController(factory())
         measurement = controller.measure(cycles=cycles, idle_interval_s=idle_interval_s)
     if not tracer.platforms:

@@ -25,9 +25,9 @@ A record carries:
   (:data:`repro.core.experiments.EXPERIMENTS`);
 * the active host-phase profiler summary, when one is installed.
 
-Recording follows the same process-wide opt-in pattern as the tracer:
-:func:`install_recorder` / :func:`active_recorder` / :func:`recording`.
-With no recorder installed every seam is one ``None`` check.  The store
+A recorder is installed through the one observation hook
+(``obs.observe(recorder=RunRecorder())``); with no recorder installed
+every seam is one ``None`` check.  The store
 itself is line-oriented JSON (one record per line), so concurrent
 appends from separate processes interleave whole records and the file
 is grep-able.
@@ -38,11 +38,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.effects import declares_effects
+from repro.obs.hook import active
 
 #: Schema identifier stamped into every record; bump on breaking change.
 RUNLOG_SCHEMA = "repro-runlog/1"
@@ -234,7 +234,7 @@ class RunRecorder:
         if self._pending_sweeps:
             record["sweeps"] = self._pending_sweeps
             self._pending_sweeps = []
-        profiler = _active_profiler()
+        profiler = active().profiler
         if profiler is not None:
             record["profile"] = profiler.summary()
         self.records.append(record)
@@ -251,46 +251,6 @@ class RunRecorder:
             metrics={},
             goldens={},
         )
-
-
-def _active_profiler():
-    from repro.obs.profile import active_profiler
-
-    return active_profiler()
-
-
-# --- process-wide opt-in hook -------------------------------------------------
-
-_active: Optional[RunRecorder] = None
-
-
-def install_recorder(recorder: Optional[RunRecorder] = None) -> RunRecorder:
-    """Activate ``recorder`` (a fresh one when omitted) process-wide."""
-    global _active
-    if recorder is None:
-        recorder = RunRecorder()
-    _active = recorder
-    return recorder
-
-
-def uninstall_recorder() -> None:
-    global _active
-    _active = None
-
-
-def active_recorder() -> Optional[RunRecorder]:
-    """The installed recorder, or ``None`` when recording is disabled."""
-    return _active
-
-
-@contextmanager
-def recording(recorder: Optional[RunRecorder] = None) -> Iterator[RunRecorder]:
-    """Context manager: install a run recorder for a block."""
-    installed = install_recorder(recorder)
-    try:
-        yield installed
-    finally:
-        uninstall_recorder()
 
 
 def host_wall_s() -> float:

@@ -15,11 +15,11 @@ into bounded-memory structures **while a run executes**:
   the macro engine's skip executor, and :func:`repro.analysis.sweep.sweep`
   workers.
 
-The stream follows the same process-wide opt-in pattern as the tracer
-(:func:`install_stream` / :func:`active_stream` / :func:`uninstall_stream`
-/ the :func:`streaming` context manager): hot paths capture the active
-stream once per run and pay a single ``None`` check per cycle when
-telemetry is disabled.  Streaming is pure observation — it never touches
+A stream is installed through the one observation hook
+(``obs.observe(stream=TelemetryStream())``): hot paths capture the
+active stream once per run, so a stream installed mid-run attaches at
+the next run boundary, and they pay a single ``None`` check per cycle
+when telemetry is disabled.  Streaming is pure observation — it never touches
 the kernel, the meter, or the RNG streams, so simulation results are
 bit-for-bit identical with and without a stream installed.
 
@@ -41,9 +41,8 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.effects import declares_effects
 from repro.errors import MeasurementError
@@ -385,43 +384,3 @@ def merge_worker_heartbeats(
                 current.merge(incoming)
     return merged
 
-
-# --- process-wide opt-in hook -------------------------------------------------
-
-_active_stream: Optional[TelemetryStream] = None
-
-
-@declares_effects("module-state")  # the process-wide opt-in hook itself
-def install_stream(stream: Optional[TelemetryStream] = None) -> TelemetryStream:
-    """Activate ``stream`` (a fresh one when omitted) process-wide.
-
-    Hot paths capture the active stream once per run (not per cycle), so
-    a stream installed mid-run attaches at the next run boundary.
-    """
-    global _active_stream
-    if stream is None:
-        stream = TelemetryStream()
-    _active_stream = stream
-    return stream
-
-
-@declares_effects("module-state")  # the process-wide opt-in hook itself
-def uninstall_stream() -> None:
-    """Deactivate streaming; captured references keep their stream."""
-    global _active_stream
-    _active_stream = None
-
-
-def active_stream() -> Optional[TelemetryStream]:
-    """The installed stream, or ``None`` when streaming is disabled."""
-    return _active_stream
-
-
-@contextmanager
-def streaming(stream: Optional[TelemetryStream] = None) -> Iterator[TelemetryStream]:
-    """Context manager: install a telemetry stream for a block."""
-    installed = install_stream(stream)
-    try:
-        yield installed
-    finally:
-        uninstall_stream()

@@ -10,10 +10,11 @@ simulated picoseconds (never the host wall clock — lint rule S401):
 * **metrics** — counters/gauges/histograms in the attached
   :class:`~repro.obs.metrics.MetricsRegistry`.
 
-Instrumentation is process-wide opt-in: :func:`install` activates a
-tracer, :func:`active` is what instrumented construction sites (for
-example :class:`~repro.system.skylake.SkylakePlatform`) read, and
-:func:`uninstall` deactivates it.  Hot paths hold a direct ``obs``
+Instrumentation is process-wide opt-in through the one observation hook:
+``obs.observe(tracer=...)`` installs a tracer, and instrumented
+construction sites (for example
+:class:`~repro.system.skylake.SkylakePlatform`) read it from
+:func:`repro.obs.hook.active`.  Hot paths hold a direct ``obs``
 attribute that defaults to ``None``, so with tracing disabled the only
 cost is a single attribute check — no tracer object is ever consulted.
 
@@ -27,8 +28,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-from repro.effects import declares_effects
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -127,7 +126,8 @@ class Tracer:
 
         from repro import obs
 
-        with obs.observe() as tracer:
+        tracer = Tracer()
+        with obs.observe(tracer=tracer):
             measurement = ODRIPSController(TechniqueSet.baseline()).measure(cycles=1)
         print(obs.render_summary(tracer))
     """
@@ -295,43 +295,3 @@ class Tracer:
             "edges": len(self.edges),
         }
 
-
-# --- process-wide opt-in hook -------------------------------------------------
-
-_active: Optional[Tracer] = None
-
-
-@declares_effects("module-state")  # the process-wide opt-in hook itself
-def install(tracer: Optional[Tracer] = None) -> Tracer:
-    """Activate ``tracer`` (a fresh one when omitted) process-wide.
-
-    Only construction sites read the active tracer; platforms built
-    before :func:`install` stay uninstrumented.
-    """
-    global _active
-    if tracer is None:
-        tracer = Tracer()
-    _active = tracer
-    return tracer
-
-
-@declares_effects("module-state")  # the process-wide opt-in hook itself
-def uninstall() -> None:
-    """Deactivate tracing; already-attached platforms keep their tracer."""
-    global _active
-    _active = None
-
-
-def active() -> Optional[Tracer]:
-    """The installed tracer, or ``None`` when tracing is disabled."""
-    return _active
-
-
-@contextmanager
-def observe(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Context manager: install a tracer for the duration of a block."""
-    installed = install(tracer)
-    try:
-        yield installed
-    finally:
-        uninstall()

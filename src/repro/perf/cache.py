@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, TypeVar
 
-from repro.obs.tracer import active as _active_tracer
+from repro.obs.hook import active
 from repro.perf.fingerprint import fingerprint
 
 Result = TypeVar("Result")
@@ -72,13 +72,13 @@ class SimulationCache:
             value = self._entries[key]
         except KeyError:
             self._misses += 1
-            tracer = _active_tracer()
+            tracer = active().tracer
             if tracer is not None:
                 tracer.metrics.counter("cache.miss").inc()
             value = self._entries[key] = runner()
             return value
         self._hits += 1
-        tracer = _active_tracer()
+        tracer = active().tracer
         if tracer is not None:
             tracer.metrics.counter("cache.hit").inc()
         return value

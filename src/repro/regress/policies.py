@@ -117,7 +117,7 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
     ),
     BenchPolicy(
         "obs_stream_fig2", "disabled_overhead_frac", "ceiling", 0.05,
-        "an uninstalled telemetry stream must cost under 5% of a fig2 run",
+        "a disabled telemetry stream must cost under 5% of a fig2 run",
     ),
     BenchPolicy(
         "obs_stream_week", "enabled_overhead_frac", "ceiling", 0.25,

@@ -64,7 +64,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import MacroError, MeasurementError
 from repro.io.wake import WakeEvent, WakeEventType
-from repro.measure.residency import ResidencyReport, merge_state_power
+from repro.measure.residency import ResidencyReport, integrate_joules, merge_state_power
 from repro.sim.trace import TraceBlock, TraceRecorder
 from repro.system.states import POWER_CHANNEL, STATE_CHANNEL, WAKE_CHANNEL
 from repro.units import PICOSECONDS_PER_SECOND
@@ -183,19 +183,6 @@ class MacroSpan:
     @property
     def end_ps(self) -> int:
         return self.start_ps + self.cycles * self.compiled.duration_ps
-
-
-def _integrate_joules(
-    trace: TraceRecorder, channel: str, start_ps: int, end_ps: int
-) -> float:
-    """Exact integral of a piecewise-constant power channel, in joules."""
-    total = 0.0
-    for lo, hi, watts in trace.intervals(channel, end_ps, start_ps=start_ps):
-        lo = max(lo, start_ps)
-        hi = min(hi, end_ps)
-        if hi > lo:
-            total += watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
-    return total
 
 
 def cycles_for_horizon(
@@ -503,11 +490,11 @@ class MacroEngine:
                     + "; a compiled cycle would drop their energy from the ledger"
                 )
         rail_energy = {
-            rail: _integrate_joules(trace, _RAIL_PREFIX + rail, start_ps, end_ps)
+            rail: integrate_joules(trace, _RAIL_PREFIX + rail, start_ps, end_ps)
             for rail in sorted(rails)
         }
         rail_total = sum(rail_energy.values())
-        platform_total = _integrate_joules(trace, POWER_CHANNEL, start_ps, end_ps)
+        platform_total = integrate_joules(trace, POWER_CHANNEL, start_ps, end_ps)
         slack = self.config.ledger_tolerance * max(abs(platform_total), 1e-12)
         if abs(rail_total - platform_total) > slack:
             raise MacroError(

@@ -28,7 +28,7 @@ from repro.memory.nvm import EMRAMDevice
 from repro.memory.region import MemoryRegion
 from repro.memory.sram import SRAMDevice
 from repro.memory.wear_leveling import RotatingContextAllocator
-from repro.obs.tracer import active as _active_tracer
+from repro.obs.hook import active
 from repro.power.meter import EnergyMeter
 from repro.power.tree import PowerTree
 from repro.processor.boot import BootSRAM
@@ -260,7 +260,7 @@ class SkylakePlatform:
         # Construction-time opt-in: platforms built while a tracer is
         # installed hand it to the hot seams; otherwise every seam stays
         # at a single `obs is None` attribute check.
-        obs = _active_tracer()
+        obs = active().tracer
         self.obs = obs
         self.kernel.obs = obs
         self.pmu.obs = obs

@@ -20,7 +20,7 @@ from repro.config import StandbyWorkloadConfig
 from repro.errors import WorkloadError
 from repro.io.wake import WakeEventType
 from repro.measure.residency import ResidencyReport, residency_report
-from repro.obs.stream import active_stream
+from repro.obs.hook import active
 from repro.obs.tracer import MEASURE_TRACK
 from repro.sim.macro import MacroConfig, MacroEngine, macro_residency_report
 from repro.system.flows import FlowController
@@ -270,7 +270,7 @@ class ConnectedStandbyRunner:
             self._macro_engine = MacroEngine(p, self._macro_engine.config)
         # capture the telemetry stream once per run; disabled cost is one
         # attribute check per cycle in _on_active
-        self._stream = active_stream()
+        self._stream = active().stream
         self._start_cycle()
         # generous event budget: each cycle is a handful of events
         p.kernel.run(max_events=self._cycles_target * 10_000 + 100_000)

@@ -114,14 +114,14 @@ class TestTraceCommand:
 
 class TestObservabilityFlags:
     def test_trace_flag_prints_span_digest_and_uninstalls(self, capsys):
-        from repro.obs.tracer import active
+        from repro.obs.hook import active
 
         assert main(["fig2", "--cycles", "1", "--trace", "--cache"]) == 0
         out = capsys.readouterr().out
         assert "Spans" in out
         assert "entry:llc-flush" in out
         assert "cache: 0 hit(s), 1 miss(es)" in out
-        assert active() is None  # main() must uninstall its tracer
+        assert active().tracer is None  # main() must restore the enclosing observation
 
     def test_metrics_flag_prints_counters_only(self, capsys):
         assert main(["fig2", "--cycles", "1", "--metrics"]) == 0

@@ -10,7 +10,8 @@ import pytest
 
 from repro.core.techniques import TechniqueSet
 from repro.io.wake import WakeEventType
-from repro.obs.tracer import observe
+from repro.obs.hook import observe
+from repro.obs.tracer import Tracer
 from repro.system.flows import FlowController, FlowStats
 from repro.system.states import PlatformState
 
@@ -76,7 +77,8 @@ class TestExternalWakePaths:
 
     def test_observed_external_wake_closes_all_spans(self):
         """The external-wake exit path obeys span discipline too."""
-        with observe() as tracer:
+        tracer = Tracer()
+        with observe(tracer=tracer):
             platform, flows, _woke = enter_drips(TechniqueSet.odrips())
             flows.external_wake(WakeEventType.NETWORK, detail="push")
             platform.kernel.run(max_events=100_000)

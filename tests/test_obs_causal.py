@@ -27,13 +27,14 @@ from repro.obs.causal import (
     wake_cause,
 )
 from repro.obs.export import chrome_trace, jsonl_lines
+from repro.obs.hook import observe
 from repro.obs.tracer import (
     EDGE_COMPILED,
     EDGE_DELIVERY,
     EDGE_FOLLOWUP,
     EDGE_TRIGGER,
     MACRO_TRACK,
-    observe,
+    Tracer,
 )
 from repro.perf.fingerprint import canonical
 
@@ -48,7 +49,8 @@ def session():
 @pytest.fixture(scope="module")
 def macro_session():
     """An observed macro-stepped run (most cycles compiled)."""
-    with observe() as tracer:
+    tracer = Tracer()
+    with observe(tracer=tracer):
         measurement = ODRIPSController().measure(cycles=12, macro=True)
     assert measurement.macro is not None
     assert measurement.macro["cycles_compiled"] > 0
@@ -126,7 +128,8 @@ class TestCauseRollups:
     def test_macro_rollups_match_exact_rollups(self, macro_session):
         """Per-cycle attribution on the summary span decomposes the skip."""
         tracer, platform, _measurement = macro_session
-        with observe() as exact_tracer:
+        exact_tracer = Tracer()
+        with observe(tracer=exact_tracer):
             ODRIPSController().measure(cycles=12, macro=False)
         exact = build_causal_report(exact_tracer, exact_tracer.platforms[-1])
         compiled = build_causal_report(tracer, platform)
@@ -220,7 +223,7 @@ class TestPerfettoRoundTrip:
 class TestCausalPurity:
     def test_exact_measurement_bit_identical_with_causal_tracing(self):
         dark = ODRIPSController().measure(cycles=1)
-        with observe():
+        with observe(tracer=Tracer()):
             lit = ODRIPSController().measure(cycles=1)
         assert json.dumps(canonical(vars(dark)), sort_keys=True) == json.dumps(
             canonical(vars(lit)), sort_keys=True
@@ -228,7 +231,7 @@ class TestCausalPurity:
 
     def test_macro_measurement_bit_identical_with_causal_tracing(self):
         dark = ODRIPSController().measure(cycles=12, macro=True)
-        with observe():
+        with observe(tracer=Tracer()):
             lit = ODRIPSController().measure(cycles=12, macro=True)
         assert json.dumps(canonical(vars(dark)), sort_keys=True) == json.dumps(
             canonical(vars(lit)), sort_keys=True

@@ -15,12 +15,8 @@ import pytest
 from repro.core.experiments import fig2_connected_standby
 from repro.core.techniques import TechniqueSet
 from repro.obs.metrics import BoundedHistogram
-from repro.obs.tracer import (
-    FLOW_STEP_TRACK,
-    FLOW_TRACK,
-    active,
-    observe,
-)
+from repro.obs.hook import active, observe
+from repro.obs.tracer import FLOW_STEP_TRACK, FLOW_TRACK, Tracer
 from repro.perf import SimulationCache
 from repro.perf.fingerprint import canonical
 from repro.system.flows import FLOW_SPAN_TABLE, FlowController
@@ -31,7 +27,8 @@ from _platform import build_platform
 
 def run_observed_cycle(techniques, idle_s=0.05):
     """One boot -> DRIPS -> timer-wake round trip under a tracer."""
-    with observe() as tracer:
+    tracer = Tracer()
+    with observe(tracer=tracer):
         platform = build_platform(techniques, small_context=True)
         flows = FlowController(platform)
         platform.boot()
@@ -109,7 +106,7 @@ class TestInstrumentedSeams:
         assert counters.get("wake.delivered:timer", 0) >= 1
 
     def test_platform_built_without_tracer_stays_dark(self):
-        assert active() is None
+        assert active().tracer is None
         platform = build_platform(TechniqueSet.baseline(), small_context=True)
         assert platform.obs is None
         assert platform.kernel.obs is None
@@ -118,14 +115,16 @@ class TestInstrumentedSeams:
 
     def test_uninstall_does_not_detach_built_platform(self):
         """Platforms keep the tracer they were constructed under."""
-        with observe() as tracer:
+        tracer = Tracer()
+        with observe(tracer=tracer):
             platform = build_platform(TechniqueSet.baseline(), small_context=True)
-        assert active() is None
+        assert active().tracer is None
         assert platform.obs is tracer
 
     def test_cache_hit_miss_counters(self):
         cache = SimulationCache()
-        with observe() as tracer:
+        tracer = Tracer()
+        with observe(tracer=tracer):
             fig2_connected_standby(cycles=1, cache=cache)
             fig2_connected_standby(cycles=1, cache=cache)
         counters = tracer.metrics.counters()
@@ -138,7 +137,7 @@ class TestObservationPurity:
     def test_measurement_identical_with_and_without_tracer(self):
         """Acceptance: results are byte-identical with the tracer on."""
         dark = fig2_connected_standby(cycles=1)
-        with observe():
+        with observe(tracer=Tracer()):
             lit = fig2_connected_standby(cycles=1)
         dark_bytes = json.dumps(canonical(vars(dark)), sort_keys=True)
         lit_bytes = json.dumps(canonical(vars(lit)), sort_keys=True)
@@ -149,7 +148,7 @@ class TestObservationPurity:
         cache = SimulationCache()
         dark = fig2_connected_standby(cycles=1, cache=cache)
         assert cache.stats.misses == 1
-        with observe():
+        with observe(tracer=Tracer()):
             lit = fig2_connected_standby(cycles=1, cache=cache)
         assert cache.stats.hits == 1
         assert json.dumps(canonical(vars(dark)), sort_keys=True) == json.dumps(

@@ -173,9 +173,8 @@ class TestLiveExposition:
     def test_observed_fig2_run_round_trips(self):
         """A real observed run's exposition validates cleanly."""
         from repro import obs
-        from repro.obs.stream import streaming
-
-        with streaming() as stream:
+        stream = TelemetryStream()
+        with obs.observe(stream=stream):
             session = obs.run_traced("fig2", cycles=2)
         text = render_openmetrics(session.tracer.metrics, stream)
         assert validate_openmetrics(text) == []

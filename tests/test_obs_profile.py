@@ -5,21 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.experiments import fig2_connected_standby
-from repro.obs.profile import (
-    PHASES,
-    PhaseProfiler,
-    active_profiler,
-    host_phase,
-    install_profiler,
-    profiled,
-    uninstall_profiler,
-)
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_profiler():
-    yield
-    uninstall_profiler()
+from repro.obs.hook import active, observe
+from repro.obs.profile import PHASES, PhaseProfiler, host_phase
 
 
 class TestPhaseProfiler:
@@ -80,7 +67,8 @@ class TestPhaseProfiler:
         assert "peak_bytes" not in summary["build"]
 
     def test_allocation_tracking(self):
-        with profiled(track_allocations=True) as profiler:
+        profiler = PhaseProfiler(track_allocations=True)
+        with observe(profiler=profiler):
             with profiler.phase("simulate"):
                 _ = [0] * 100_000
         span = profiler.closed_spans()[0]
@@ -94,25 +82,28 @@ class TestPhaseProfiler:
 
 class TestOptInSeam:
     def test_host_phase_is_noop_when_disabled(self):
-        assert active_profiler() is None
+        assert active().profiler is None
         with host_phase("build"):
             pass  # must not raise or record anywhere
 
     def test_host_phase_records_when_installed(self):
-        profiler = install_profiler()
-        with host_phase("build"):
-            pass
+        profiler = PhaseProfiler()
+        with observe(profiler=profiler):
+            with host_phase("build"):
+                pass
         assert [span.name for span in profiler.closed_spans()] == ["build"]
 
     def test_profiled_context(self):
-        with profiled() as profiler:
-            assert active_profiler() is profiler
-        assert active_profiler() is None
+        profiler = PhaseProfiler()
+        with observe(profiler=profiler):
+            assert active().profiler is profiler
+        assert active().profiler is None
 
 
 class TestExperimentIntegration:
     def test_fig2_attributes_build_and_simulate(self):
-        with profiled() as profiler:
+        profiler = PhaseProfiler()
+        with observe(profiler=profiler):
             with profiler.phase("analyze"):
                 fig2_connected_standby(cycles=1)
         stats = profiler.stats()
@@ -133,16 +124,17 @@ class TestExperimentIntegration:
         trace.record(0, "platform", 1.0)
         trace.record(seconds_to_ps(1.0), "platform", 2.0)
         analyzer = PowerAnalyzer(trace, sampling_interval_ps=us_to_ps(50))
-        with profiled() as profiler:
+        profiler = PhaseProfiler()
+        with observe(profiler=profiler):
             analyzer.measure(0, seconds_to_ps(1.0))
         assert profiler.stats()["measure"].count == 1
 
     def test_run_record_attaches_profile(self):
-        from repro.obs.runlog import recording
+        from repro.obs.runlog import RunRecorder
 
-        with profiled():
-            with recording() as recorder:
-                fig2_connected_standby(cycles=1)
+        recorder = RunRecorder()
+        with observe(profiler=PhaseProfiler(), recorder=recorder):
+            fig2_connected_standby(cycles=1)
         record = recorder.records[0]
         assert "profile" in record
         assert record["profile"]["simulate"]["count"] >= 1

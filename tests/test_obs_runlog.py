@@ -4,28 +4,17 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.core.experiments import EXPERIMENTS, fig2_connected_standby
 from repro.core.odrips import ODRIPSController
+from repro.obs.hook import active, observe
 from repro.obs.runlog import (
     RUNLOG_DIR_ENV,
     RUNLOG_SCHEMA,
     RunLog,
     RunRecorder,
-    active_recorder,
     git_revision,
-    install_recorder,
-    recording,
-    uninstall_recorder,
 )
 from repro.perf.cache import SimulationCache
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_recorder():
-    yield
-    uninstall_recorder()
 
 
 class TestGitRevision:
@@ -110,16 +99,18 @@ class TestRunLogStore:
 
 class TestRecorder:
     def test_install_uninstall(self):
-        assert active_recorder() is None
-        recorder = install_recorder()
-        assert active_recorder() is recorder
-        uninstall_recorder()
-        assert active_recorder() is None
+        assert active().recorder is None
+        recorder = RunRecorder()
+        with observe(recorder=recorder):
+            assert active().recorder is recorder
+        assert active().recorder is None
 
     def test_recording_context(self):
-        with recording() as recorder:
-            assert active_recorder() is recorder
-        assert active_recorder() is None
+        recorder = RunRecorder()
+        with observe(recorder=recorder) as observation:
+            assert observation.recorder is recorder
+            assert active() is observation
+        assert active().recorder is None
 
     def test_experiment_drains_pending_subevents(self):
         recorder = RunRecorder()
@@ -155,7 +146,8 @@ class TestRecorder:
 
 class TestDriverIntegration:
     def test_fig2_run_is_recorded(self):
-        with recording() as recorder:
+        recorder = RunRecorder()
+        with observe(recorder=recorder):
             fig2_connected_standby(cycles=1)
         assert len(recorder.records) == 1
         record = recorder.records[0]
@@ -179,7 +171,8 @@ class TestDriverIntegration:
 
     def test_cache_stats_and_cached_flag(self):
         cache = SimulationCache()
-        with recording() as recorder:
+        recorder = RunRecorder()
+        with observe(recorder=recorder):
             fig2_connected_standby(cycles=1, cache=cache)
             fig2_connected_standby(cycles=1, cache=cache)
         first, second = recorder.records
@@ -191,10 +184,11 @@ class TestDriverIntegration:
     def test_no_recorder_means_no_records(self):
         result = fig2_connected_standby(cycles=1)
         assert result.average_power_mw > 0
-        assert active_recorder() is None
+        assert active().recorder is None
 
     def test_controller_seam_outside_driver(self):
-        with recording() as recorder:
+        recorder = RunRecorder()
+        with observe(recorder=recorder):
             ODRIPSController().measure(cycles=1)
             recorder.finish("battery")
         assert recorder.records[0]["experiment"] == "cli:battery"
@@ -205,7 +199,9 @@ class TestSweepIntegration:
     def test_serial_sweep_contributes_fanout(self):
         from repro.analysis.sweep import sweep
 
-        with recording() as recorder:
+        recorder = RunRecorder()
+
+        with observe(recorder=recorder):
             points = sweep([1.0, 2.0, 3.0], _double)
             recorder.finish("sweep")
         assert points == [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]
@@ -218,7 +214,9 @@ class TestSweepIntegration:
     def test_parallel_sweep_reports_workers(self):
         from repro.analysis.sweep import sweep
 
-        with recording() as recorder:
+        recorder = RunRecorder()
+
+        with observe(recorder=recorder):
             points = sweep([1.0, 2.0, 3.0, 4.0], _double, parallel=True,
                            max_workers=2)
             recorder.finish("sweep")

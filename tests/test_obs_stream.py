@@ -19,18 +19,15 @@ import pytest
 from repro.analysis.sweep import sweep
 from repro.core.odrips import ODRIPSController
 from repro.errors import MeasurementError
+from repro.obs.hook import active, observe
 from repro.obs.metrics import BoundedHistogram, Histogram, MetricsRegistry
 from repro.obs.stream import (
     HEARTBEAT_SCHEMA,
     RollingWindow,
     TelemetryStream,
-    active_stream,
-    install_stream,
     merge_worker_heartbeats,
     read_heartbeat_dir,
     record_worker_point,
-    streaming,
-    uninstall_stream,
 )
 from repro.units import PICOSECONDS_PER_SECOND
 
@@ -248,7 +245,8 @@ class TestWorkerHeartbeats:
 
 class TestSweepStreaming:
     def test_serial_sweep_emits_live_progress(self):
-        with streaming() as stream:
+        stream = TelemetryStream()
+        with observe(stream=stream):
             rows = sweep([1.0, 2.0, 3.0], _square)
         assert [result for _value, result in rows] == [1.0, 4.0, 9.0]
         hist = stream.histograms["sweep.point_result"]
@@ -264,7 +262,7 @@ class TestSweepStreaming:
         values = [1.0, 2.0, 3.0, 4.0]
         serial = sweep(values, _square)
         stream = TelemetryStream(heartbeat_dir=tmp_path)
-        with streaming(stream):
+        with observe(stream=stream):
             parallel = sweep(values, _square, parallel=True, max_workers=2)
         assert parallel == serial  # identical ordered pairs
 
@@ -284,24 +282,26 @@ class TestSweepStreaming:
 
 class TestStreamHook:
     def test_disabled_by_default_and_context_managed(self):
-        assert active_stream() is None
-        with streaming() as stream:
-            assert active_stream() is stream
-        assert active_stream() is None
+        assert active().stream is None
+        stream = TelemetryStream()
+        with observe(stream=stream):
+            assert active().stream is stream
+        assert active().stream is None
 
     def test_install_uninstall(self):
-        stream = install_stream()
-        try:
-            assert active_stream() is stream
-        finally:
-            uninstall_stream()
-        assert active_stream() is None
+        stream = TelemetryStream()
+        with pytest.raises(RuntimeError):
+            with observe(stream=stream):
+                assert active().stream is stream
+                raise RuntimeError("boom")
+        assert active().stream is None
 
 
 class TestStreamingPurity:
     def test_results_bit_for_bit_with_and_without_stream(self):
         dark = ODRIPSController().measure(cycles=2)
-        with streaming() as stream:
+        stream = TelemetryStream()
+        with observe(stream=stream):
             lit = ODRIPSController().measure(cycles=2)
         assert lit.average_power_w == dark.average_power_w
         assert lit.drips_residency == dark.drips_residency
@@ -314,7 +314,8 @@ class TestStreamingPurity:
 
     def test_macro_run_heartbeats_and_purity(self):
         dark = ODRIPSController().measure_raw(cycles=400, macro=True)
-        with streaming() as stream:
+        stream = TelemetryStream()
+        with observe(stream=stream):
             lit = ODRIPSController().measure_raw(cycles=400, macro=True)
         assert lit.average_power_w == dark.average_power_w
         assert lit.residency == dark.residency

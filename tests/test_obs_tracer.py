@@ -3,16 +3,9 @@
 import pytest
 
 from repro.errors import MeasurementError
+from repro.obs.hook import active, observe
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import (
-    FLOW_STEP_TRACK,
-    MEASURE_TRACK,
-    Tracer,
-    active,
-    install,
-    observe,
-    uninstall,
-)
+from repro.obs.tracer import FLOW_STEP_TRACK, MEASURE_TRACK, Tracer
 
 
 class TestSpans:
@@ -131,29 +124,26 @@ class TestMetricsRegistry:
 
 class TestProcessWideHook:
     def test_install_uninstall(self):
-        assert active() is None
-        tracer = install()
-        try:
-            assert active() is tracer
-        finally:
-            uninstall()
-        assert active() is None
+        assert active().tracer is None
+        tracer = Tracer()
+        with observe(tracer=tracer):
+            assert active().tracer is tracer
+        assert active().tracer is None
 
     def test_observe_restores_disabled_state(self):
-        with observe() as tracer:
-            assert active() is tracer
-        assert active() is None
+        before = active()
+        with observe(tracer=Tracer()):
+            assert active() is not before
+        assert active() is before
 
     def test_observe_uninstalls_on_error(self):
         with pytest.raises(RuntimeError):
-            with observe():
+            with observe(tracer=Tracer()):
                 raise RuntimeError("boom")
-        assert active() is None
+        assert active().tracer is None
 
     def test_install_accepts_existing_tracer(self):
         mine = Tracer()
-        try:
-            assert install(mine) is mine
-            assert active() is mine
-        finally:
-            uninstall()
+        with observe(tracer=mine) as observation:
+            assert observation.tracer is mine
+            assert active() is observation

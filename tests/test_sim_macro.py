@@ -18,8 +18,9 @@ from repro.core.techniques import TechniqueSet
 from repro.errors import MacroError, MeasurementError, SimulationError
 from repro.lint.model import lint_model_view, walk_model
 from repro.obs.ledger import EnergyLedger
-from repro.obs.runlog import RunRecorder, install_recorder, uninstall_recorder
-from repro.obs.tracer import MACRO_TRACK, observe
+from repro.obs.hook import observe
+from repro.obs.runlog import RunRecorder
+from repro.obs.tracer import MACRO_TRACK, Tracer
 from repro.perf import SimulationCache
 from repro.power.meter import EnergyMeter
 from repro.sim.kernel import Kernel
@@ -208,7 +209,8 @@ class TestIntegrationSeams:
         assert cache.stats.hits == 1 and again is macro
 
     def test_obs_macro_span_and_metric(self):
-        with observe() as tracer:
+        tracer = Tracer()
+        with observe(tracer=tracer):
             platform = SkylakePlatform(skylake_config(), TechniqueSet.baseline())
             result = ConnectedStandbyRunner(platform, macro=True).run(cycles=10)
         compiled = result.macro["cycles_compiled"]
@@ -223,11 +225,9 @@ class TestIntegrationSeams:
 
         sweep_module = importlib.import_module("repro.analysis.sweep")
         monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 1)
-        recorder = install_recorder(RunRecorder())
-        try:
+        recorder = RunRecorder()
+        with observe(recorder=recorder):
             rows = sweep_module.sweep([1.0, 2.0], _double, parallel=True)
-        finally:
-            uninstall_recorder()
         assert rows == [(1.0, 2.0), (2.0, 4.0)]
         (record,) = recorder._pending_sweeps
         assert record["backend"] == "serial-fallback"
@@ -238,11 +238,9 @@ class TestIntegrationSeams:
 
         sweep_module = importlib.import_module("repro.analysis.sweep")
         monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 1)
-        recorder = install_recorder(RunRecorder())
-        try:
+        recorder = RunRecorder()
+        with observe(recorder=recorder):
             sweep_module.sweep([1.0, 2.0], _double, parallel=False)
-        finally:
-            uninstall_recorder()
         (record,) = recorder._pending_sweeps
         assert record["backend"] == "serial"
 
