@@ -37,11 +37,8 @@ def test_fig6a_average_power_savings(benchmark, emit):
 
 
 def test_fig6a_break_even_points(benchmark, emit):
-    """The blue line of Fig. 6(a): residency sweep + bisection per bar."""
-    result = run_once(
-        benchmark, fig6a_techniques, cycles=3, with_break_even=True,
-        break_even_iterations=9,
-    )
+    """The blue line of Fig. 6(a): a two-point break-even fit per bar."""
+    result = run_once(benchmark, fig6a_techniques, cycles=3, with_break_even=True)
 
     rows = [
         [row.label, f"{row.break_even_ms:.1f} ms", f"{row.paper_break_even_ms:.1f} ms"]

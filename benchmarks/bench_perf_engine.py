@@ -11,6 +11,7 @@ Run with ``pytest benchmarks/bench_perf_engine.py --benchmark-only``.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -177,6 +178,13 @@ def test_memoized_experiment_rerun(benchmark, emit):
          f"{cold_s:.2f} s ({cold_s / warm_s:,.0f}x)")
 
 
+#: Interleaved disabled/enabled fig2 pairs in the tracer-overhead guard
+#: (odd, so the median pair ratio is one pair's ratio).  Each run is
+#: ~16 ms, and the host's speed drifts between blocks of runs; timing
+#: alternating pairs and comparing within each pair cancels the drift.
+TRACER_OVERHEAD_PAIRS = 15
+
+
 def test_tracer_overhead_on_fig2(benchmark, emit):
     """repro.obs disabled vs enabled: the off switch must stay near-free.
 
@@ -184,25 +192,42 @@ def test_tracer_overhead_on_fig2(benchmark, emit):
     None`` attribute check; fig2 with tracing disabled must therefore not
     cost more than an observed run beyond a 3% noise budget (the
     observability PR's acceptance criterion), and both figures land in
-    BENCH_perf.json so CI can watch the gap.
+    BENCH_perf.json so CI can watch the gap.  The two sides run in
+    interleaved pairs that alternate which side goes first; the budget
+    applies to the median disabled/enabled ratio over the pairs, and
+    each side reports its median run.
     """
     def dark():
-        return fig2_connected_standby(cycles=1)
+        fig2_connected_standby(cycles=1)
 
-    dark()  # warm imports and allocator pools outside both clocks
-    enabled_samples = []
-    for _ in range(3):
-        t0 = time.perf_counter()
+    def lit():
         with observe(tracer=Tracer()):
             fig2_connected_standby(cycles=1)
-        enabled_samples.append(time.perf_counter() - t0)
-    enabled_s = min(enabled_samples)
 
-    benchmark.pedantic(dark, rounds=3, iterations=1)
-    disabled_s = min(benchmark.stats.stats.data)
+    def timed(run):
+        t0 = time.perf_counter()
+        run()
+        return time.perf_counter() - t0
 
-    assert disabled_s <= enabled_s * 1.03
-    overhead = enabled_s / disabled_s - 1.0
+    def interleaved():
+        pairs = []
+        for pair in range(TRACER_OVERHEAD_PAIRS):
+            if pair % 2 == 0:
+                disabled = timed(dark)
+                pairs.append((disabled, timed(lit)))
+            else:
+                enabled = timed(lit)
+                pairs.append((timed(dark), enabled))
+        return pairs
+
+    dark()  # warm imports and allocator pools outside both clocks
+    pairs = run_once(benchmark, interleaved)
+    disabled_s = statistics.median(disabled for disabled, _ in pairs)
+    enabled_s = statistics.median(enabled for _, enabled in pairs)
+    slowdown = statistics.median(disabled / enabled for disabled, enabled in pairs)
+
+    assert slowdown <= 1.03
+    overhead = 1.0 / slowdown - 1.0
     _results["tracer_overhead_fig2"] = {
         "wall_s": disabled_s,
         "enabled_wall_s": enabled_s,

@@ -3,9 +3,9 @@
 The paper determines each technique's break-even point by sweeping the
 DRIPS residency from 0.6 ms to 1 s and finding the residency where the
 technique's connected-standby average power first drops below the
-baseline's (Sec. 7).  The sweep here runs the actual simulator with the
-periodic (fixed wake grid) schedule, then a bisection narrows the
-crossing.
+baseline's (Sec. 7).  Here the actual simulator runs the periodic (fixed
+wake grid) schedule at two residencies, and a two-point fit of the
+per-cycle energy saving solves for the crossing.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ class BreakEvenResult:
 
     label: str
     break_even_s: float
-    sweep_points: Tuple[Tuple[float, float, float], ...]  # (idle_s, base_w, tech_w)
+    #: The two fit points: ``(idle_a, saving_a_j, drips_saving_w)`` and
+    #: ``(idle_b, saving_b_j, overhead_j)``.
+    sweep_points: Tuple[Tuple[float, float, float], ...]
 
     @property
     def break_even_ms(self) -> float:
@@ -69,8 +71,8 @@ def _cycle_energy(
     """Average joules per connected-standby cycle at ``idle_s`` residency."""
     period = maintenance_s + BASE_TRANSITIONS_S + idle_s
     controller = ODRIPSController(techniques, config=config)
-    result = controller.measure_raw_periodic(
-        cycles=cycles, maintenance_s=maintenance_s, period_s=period, idle_s=idle_s
+    result = controller.measure_raw(
+        cycles=cycles, idle_interval_s=idle_s, maintenance_s=maintenance_s, period_s=period
     )
     return sum(result.residency.energy_j.values()) / cycles
 
@@ -81,7 +83,6 @@ def find_break_even(
     idle_points_s: Tuple[float, float] = (0.020, 0.060),
     cycles: int = 4,
     maintenance_s: float = SWEEP_MAINTENANCE_S,
-    iterations: int = 0,  # kept for API compatibility; unused
 ) -> BreakEvenResult:
     """Locate the break-even residency via a two-point energy fit.
 

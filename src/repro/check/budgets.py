@@ -12,10 +12,12 @@ It works in two phases:
 
 1. **Pricing.**  One short probe cycle runs the real simulator
    (:func:`probe_standby_cycle`) and reads, from the trace, the latency
-   of every entry/exit flow step and the exact energy of every window
-   (entry, exit, DRIPS residency, active residency).  All arithmetic
-   downstream is exact :class:`~fractions.Fraction` — the derived numbers
-   are correctly rounded, never accumulated in floating point.
+   of every entry/exit flow step and the
+   :class:`~repro.measure.residency.CyclePrice` of the first
+   entry-to-entry cycle (entry, DRIPS, exit and active dwell and
+   energy).  All arithmetic downstream is exact
+   :class:`~fractions.Fraction` — the derived numbers are correctly
+   rounded, never accumulated in floating point.
 2. **Analysis.**  :func:`analyze_budgets` prices every edge of the
    compiled :class:`~repro.check.ts.TransitionSystem` with its step
    latency plus the chipset's declared worst-case allowance (a flow step
@@ -42,7 +44,7 @@ from repro.check.rules import C601_RULE, C602_RULE, C603_RULE, C604_RULE, C605_R
 from repro.check.ts import ComposedState, TransitionSystem
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.model import ModelView
-from repro.measure.residency import clipped_intervals
+from repro.measure.residency import CyclePrice, merge_state_power
 from repro.units import PICOSECONDS_PER_SECOND, seconds_to_ps
 
 #: Fallback probe cycle when the declaration is missing or malformed.
@@ -55,22 +57,6 @@ _DEFAULT_PROBE_MAINTENANCE_S = 0.002
 # ---------------------------------------------------------------------------
 
 
-def _integrate(trace: Any, channel: str, start_ps: int, end_ps: int) -> Fraction:
-    """Exact energy (joules) of ``channel`` over ``[start_ps, end_ps)``."""
-    total = Fraction(0)
-    for left, right, value in clipped_intervals(trace, channel, start_ps, end_ps):
-        total += Fraction(value) * Fraction(right - left, PICOSECONDS_PER_SECOND)
-    return total
-
-
-def _mean_power(trace: Any, channel: str, start_ps: int, end_ps: int) -> Fraction:
-    if end_ps <= start_ps:
-        return Fraction(0)
-    return _integrate(trace, channel, start_ps, end_ps) / Fraction(
-        end_ps - start_ps, PICOSECONDS_PER_SECOND
-    )
-
-
 def probe_standby_cycle(
     config: Any = None,
     techniques: Any = None,
@@ -80,16 +66,17 @@ def probe_standby_cycle(
     """Run one short connected-standby cycle and price its trace.
 
     Returns the per-step latencies of the first entry/exit flow
-    execution, the exact entry/exit transition energies, and the exact
-    mean DRIPS and active power levels.  Energies and powers are
-    :class:`~fractions.Fraction`; latencies are integer picoseconds.
+    execution and, from the :class:`~repro.measure.residency.CyclePrice`
+    of the first entry-to-entry cycle, the entry/exit latencies and
+    energies and the mean DRIPS and active power levels.  Energies and
+    powers are :class:`~fractions.Fraction`; latencies are integer
+    picoseconds.
     The flows are workload-independent, so one short cycle prices them
     the same as a 30 s production cycle would.
     """
     from repro.core.techniques import TechniqueSet
-    from repro.power.tree import PowerTree
     from repro.system.skylake import SkylakePlatform
-    from repro.system.states import FLOW_CHANNEL
+    from repro.system.states import FLOW_CHANNEL, STATE_CHANNEL, PlatformState
     from repro.workloads.standby import ConnectedStandbyRunner
 
     techniques = techniques if techniques is not None else TechniqueSet.odrips()
@@ -101,18 +88,15 @@ def probe_standby_cycle(
 
     trace = platform.trace
     samples = trace.samples(FLOW_CHANNEL)
-    power_channel = PowerTree.PLATFORM_CHANNEL
 
     # Per-step latency: each step's window runs until the next step of
     # the *same flow*; the last step of a flow is an instantaneous marker
     # (its successor interval is residency, not step work).
     steps: Dict[str, Dict[str, int]] = {}
-    first_at: Dict[str, int] = {}
     for index, sample in enumerate(samples):
         label = str(sample.value)
-        if label in first_at:
+        if label in steps:
             continue  # price the first execution only
-        first_at[label] = sample.time_ps
         latency = 0
         if index + 1 < len(samples):
             next_label = str(samples[index + 1].value)
@@ -121,46 +105,28 @@ def probe_standby_cycle(
                 latency = samples[index + 1].time_ps - sample.time_ps
         steps[label] = {"latency_ps": latency}
 
-    def _at(label: str) -> Optional[int]:
-        return first_at.get(label)
-
-    entry_labels = sorted(
-        (t, label) for label, t in first_at.items() if label.startswith("entry:")
-    )
-    exit_labels = sorted(
-        (t, label) for label, t in first_at.items() if label.startswith("exit:")
-    )
-    if not entry_labels or not exit_labels:
-        raise RuntimeError("probe cycle executed no entry/exit flow")
-
-    entry_start = entry_labels[0][0]
-    drips_start = _at("entry:drips")
-    exit_start = exit_labels[0][0]
-    exit_end = _at("exit:active")
-    if drips_start is None or exit_end is None:
-        raise RuntimeError("probe cycle missing entry:drips / exit:active markers")
-
-    # Second entry (the runner executes cycles+1 wakes) bounds the active
-    # window after the first exit; fall back to the trace end when the
-    # probe ran exactly one flow pair.
-    second_entry = sorted(
+    # The first entry-to-entry cycle (the runner executes cycles+1 wakes,
+    # so the second entry flow always starts): entry, DRIPS, exit, active.
+    entries = [
         sample.time_ps
-        for sample in samples
-        if str(sample.value).startswith("entry:") and sample.time_ps > exit_end
-    )
-    active_end = second_entry[0] if second_entry else samples[-1].time_ps
-
+        for sample in trace.samples(STATE_CHANNEL)
+        if sample.value == PlatformState.ENTRY.value
+    ]
+    if len(entries) < 2:
+        raise RuntimeError("probe run completed no entry-to-entry cycle")
+    price = CyclePrice.of(merge_state_power(trace, entries[0], entries[1]))
+    entry, exit_ = PlatformState.ENTRY.value, PlatformState.EXIT.value
     return {
         "technique_label": techniques.label(),
         "idle_s": idle_s,
         "maintenance_s": maintenance_s,
         "steps": steps,
-        "entry_latency_ps": drips_start - entry_start,
-        "exit_latency_ps": exit_end - exit_start,
-        "entry_energy_j": _integrate(trace, power_channel, entry_start, drips_start),
-        "exit_energy_j": _integrate(trace, power_channel, exit_start, exit_end),
-        "drips_power_w": _mean_power(trace, power_channel, drips_start, exit_start),
-        "active_power_w": _mean_power(trace, power_channel, exit_end, active_end),
+        "entry_latency_ps": price.dwell_ps[entry],
+        "exit_latency_ps": price.dwell_ps[exit_],
+        "entry_energy_j": price.energy_j[entry],
+        "exit_energy_j": price.energy_j[exit_],
+        "drips_power_w": price.power_w(PlatformState.DRIPS.value),
+        "active_power_w": price.power_w(PlatformState.ACTIVE.value),
     }
 
 

@@ -413,14 +413,15 @@ def fig6a_techniques(
     config: Optional[PlatformConfig] = None,
     cycles: int = 2,
     with_break_even: bool = False,
-    break_even_iterations: int = 10,
     cache: Optional["SimulationCache"] = None,
     macro: bool = False,
 ) -> Fig6aResult:
     """Reproduce the Fig. 6(a) bars (and, optionally, the blue line).
 
-    ``with_break_even`` runs the residency-sweep bisection per bar; it is
-    off by default because it simulates dozens of extra configurations.
+    ``with_break_even`` fits each bar's break-even residency from two
+    fixed-period runs per configuration
+    (:func:`~repro.analysis.breakeven.find_break_even`); it is off by
+    default because it simulates extra configurations.
     ``cache`` memoizes each per-configuration run (the baseline run is
     shared with fig2/fig6d/validation when they use the same cache).
     """
@@ -435,9 +436,7 @@ def fig6a_techniques(
         paper_saving, paper_be = FIG6A_PAPER[label]
         break_even_ms: Optional[float] = None
         if with_break_even:
-            break_even_ms = find_break_even(
-                techniques, config=config, iterations=break_even_iterations
-            ).break_even_ms
+            break_even_ms = find_break_even(techniques, config=config).break_even_ms
         rows.append(
             Fig6aRow(
                 label=label,

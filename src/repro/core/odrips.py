@@ -144,6 +144,7 @@ class ODRIPSController:
         start_s = (
             host_wall_s() if (recorder is not None or stream is not None) else 0.0
         )
+        label = self.techniques.label()
         arguments = {
             "cycles": cycles,
             "idle_interval_s": idle_interval_s,
@@ -159,7 +160,7 @@ class ODRIPSController:
             # technique set and exact configuration produced the samples
             from repro.perf.fingerprint import fingerprint  # import cycle guard
 
-            stream.set_label("experiment", self.techniques.label())
+            stream.set_label("experiment", label)
             stream.set_label(
                 "fingerprint",
                 fingerprint(
@@ -181,10 +182,10 @@ class ODRIPSController:
             )
             cached = key in self.cache
             result = self.cache.get_or_run(
-                key, lambda: self._measure_uncached(**arguments)
+                key, lambda: StandbyMeasurement.from_result(label, self.measure_raw(**arguments))
             )
         else:
-            result = self._measure_uncached(**arguments)
+            result = StandbyMeasurement.from_result(label, self.measure_raw(**arguments))
         if recorder is not None:
             recorder.measurement(
                 result.label,
@@ -199,7 +200,7 @@ class ODRIPSController:
             stream.histogram("measure.wall_s").observe(host_wall_s() - start_s)
         return result
 
-    def _measure_uncached(
+    def measure_raw(
         self,
         cycles: int = 2,
         idle_interval_s: Optional[float] = None,
@@ -209,7 +210,12 @@ class ODRIPSController:
         external_wakes: bool = False,
         period_s: Optional[float] = None,
         macro: bool = False,
-    ) -> StandbyMeasurement:
+    ) -> StandbyResult:
+        """Run a measurement and return the full :class:`StandbyResult`.
+
+        Takes :meth:`measure`'s arguments, uncached; ``period_s`` pins
+        wakes to a fixed grid (the break-even sweep schedule of Sec. 7).
+        """
         with host_phase("build"):
             platform = self.build_platform()
             if core_freq_ghz is not None:
@@ -226,41 +232,4 @@ class ODRIPSController:
                 macro=macro,
             )
         with host_phase("simulate"):
-            result = runner.run(cycles=cycles)
-        return StandbyMeasurement.from_result(self.techniques.label(), result)
-
-    def measure_raw(
-        self,
-        cycles: int = 2,
-        idle_interval_s: Optional[float] = None,
-        maintenance_s: Optional[float] = None,
-        macro: bool = False,
-    ) -> StandbyResult:
-        """Run a measurement and return the full :class:`StandbyResult`."""
-        platform = self.build_platform()
-        runner = ConnectedStandbyRunner(
-            platform,
-            workload=self.workload,
-            idle_interval_s=idle_interval_s,
-            maintenance_s=maintenance_s,
-            macro=macro,
-        )
-        return runner.run(cycles=cycles)
-
-    def measure_raw_periodic(
-        self,
-        cycles: int,
-        maintenance_s: float,
-        period_s: float,
-        idle_s: float,
-    ) -> StandbyResult:
-        """Fixed-period run (the break-even sweep schedule of Sec. 7)."""
-        platform = self.build_platform()
-        runner = ConnectedStandbyRunner(
-            platform,
-            workload=self.workload,
-            idle_interval_s=idle_s,
-            maintenance_s=maintenance_s,
-            period_s=period_s,
-        )
-        return runner.run(cycles=cycles)
+            return runner.run(cycles=cycles)

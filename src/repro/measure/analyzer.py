@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from repro.errors import MeasurementError
-from repro.measure.residency import clipped_intervals
+from repro.measure.residency import integrate_joules
 from repro.obs.hook import active
 from repro.obs.profile import host_phase
 from repro.obs.tracer import MEASURE_TRACK
@@ -183,7 +183,5 @@ class PowerAnalyzer:
         """Exact trace integral over the window (the reference value)."""
         if end_ps <= start_ps:
             raise MeasurementError("empty measurement window")
-        total = 0.0
-        for lo, hi, watts in clipped_intervals(self.trace, self.channel, start_ps, end_ps):
-            total += watts * (hi - lo)
-        return total / (end_ps - start_ps)
+        joules = integrate_joules(self.trace, self.channel, start_ps, end_ps)
+        return joules / ((end_ps - start_ps) / PICOSECONDS_PER_SECOND)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from fractions import Fraction
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.errors import MeasurementError
 from repro.sim.trace import TraceRecorder
@@ -51,8 +52,9 @@ def merge_state_power(
 ) -> List[Tuple[int, int, str, float]]:
     """``(lo, hi, state, watts)`` segments merging state and power steps.
 
-    The common substrate of :func:`energy_by_state` and the
-    macro-stepping cycle compiler (:mod:`repro.sim.macro`): the window is
+    The common substrate of :func:`energy_by_state` and
+    :class:`CyclePrice` (the macro-stepping cycle compiler and the
+    budget probe price cycles with it): the window is
     partitioned at every record of either channel, so each segment
     carries one platform state and one constant battery-side power.
     Segment boundaries depend only on the records inside the window —
@@ -82,6 +84,56 @@ def merge_state_power(
             segments.append((position, segment_end, state, watts))
             position = segment_end
     return segments
+
+
+@dataclass(frozen=True)
+class CyclePrice:
+    """Per-state dwell and exact energy of a run of merged segments.
+
+    The priced form of Equation 1 — power x residency per platform
+    state — for one standby cycle or any window of one.  Each segment
+    contributes the float product ``watts * ((hi - lo) / 1e12)``, the
+    very value :func:`energy_by_state` feeds :func:`math.fsum`, and the
+    products are summed exactly, so rounding one state's energy once
+    reproduces ``energy_by_state`` bit-for-bit however prices are added
+    and scaled.
+    """
+
+    dwell_ps: Dict[str, int] = field(default_factory=dict)
+    energy_j: Dict[str, Fraction] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, segments: Iterable[Tuple[int, int, str, float]]) -> "CyclePrice":
+        """Price ``(lo, hi, state, watts)`` segments (see :func:`merge_state_power`)."""
+        dwell: Dict[str, int] = {}
+        energy: Dict[str, Fraction] = {}
+        for lo, hi, state, watts in segments:
+            dwell[state] = dwell.get(state, 0) + (hi - lo)
+            energy[state] = energy.get(state, Fraction()) + Fraction(
+                watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
+            )
+        return cls(dwell, energy)
+
+    def __add__(self, other: "CyclePrice") -> "CyclePrice":
+        dwell = dict(self.dwell_ps)
+        energy = dict(self.energy_j)
+        for state, dwell_ps in other.dwell_ps.items():
+            dwell[state] = dwell.get(state, 0) + dwell_ps
+            energy[state] = energy.get(state, Fraction()) + other.energy_j[state]
+        return CyclePrice(dwell, energy)
+
+    def __mul__(self, cycles: int) -> "CyclePrice":
+        return CyclePrice(
+            {state: cycles * dwell_ps for state, dwell_ps in self.dwell_ps.items()},
+            {state: cycles * joules for state, joules in self.energy_j.items()},
+        )
+
+    def power_w(self, state: str) -> Fraction:
+        """Exact mean watts while in ``state`` (0 when never entered)."""
+        dwell_ps = self.dwell_ps.get(state, 0)
+        if dwell_ps == 0:
+            return Fraction(0)
+        return self.energy_j[state] / Fraction(dwell_ps, PICOSECONDS_PER_SECOND)
 
 
 def energy_by_state(

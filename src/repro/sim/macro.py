@@ -40,10 +40,11 @@ This module exploits that steady state in three stages:
 The measured results stay **bit-for-bit identical** to an event-by-event
 run for pure-periodic workloads: :func:`macro_residency_report` composes
 the per-state energies from the exactly-simulated regions plus
-N-weighted per-cycle segment sums using exact rational arithmetic
-(:class:`fractions.Fraction`), while the event-by-event path sums the
-same segment multiset with :func:`math.fsum` — both are correctly
-rounded, so they agree to the last bit.  Dwell times are integer
+N-weighted compiled cycle prices
+(:class:`~repro.measure.residency.CyclePrice`, exact rationals), while
+the event-by-event path sums the same segment multiset with
+:func:`math.fsum` — both are correctly rounded, so they agree to the
+last bit.  Dwell times are integer
 picoseconds and compose exactly.
 
 Irregular points fall back to event-by-event execution: with external
@@ -59,12 +60,16 @@ consecutive cycles match again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import MacroError, MeasurementError
 from repro.io.wake import WakeEvent, WakeEventType
-from repro.measure.residency import ResidencyReport, integrate_joules, merge_state_power
+from repro.measure.residency import (
+    CyclePrice,
+    ResidencyReport,
+    integrate_joules,
+    merge_state_power,
+)
 from repro.sim.trace import TraceBlock, TraceRecorder
 from repro.system.states import POWER_CHANNEL, STATE_CHANNEL, WAKE_CHANNEL
 from repro.units import PICOSECONDS_PER_SECOND
@@ -160,11 +165,9 @@ class CompiledCycle:
     #: cycle start: ``(lo_off, hi_off, state, watts)`` — the residency
     #: vector :func:`macro_residency_report` replays.
     segments: Tuple[Tuple[int, int, str, float], ...]
-    #: Per-state dwell picoseconds of one cycle (segments summed).
-    state_dwell_ps: Dict[str, int]
-    #: Per-state exact rational energy of one cycle: the sum of the very
-    #: float products the event-by-event walk would feed ``fsum``.
-    state_energy: Dict[str, Fraction]
+    #: Per-state dwell and exact energy of one cycle, priced from
+    #: :attr:`segments`.
+    price: CyclePrice
     #: Each summarized power channel's value at the cycle boundary,
     #: restored at span end so post-span intervals read correctly.
     boundary_values: Dict[str, Any]
@@ -210,36 +213,25 @@ def macro_residency_report(
 ) -> ResidencyReport:
     """A :class:`ResidencyReport` over a window containing macro spans.
 
-    Walks the exactly-simulated regions of the trace and composes the
+    Prices the exactly-simulated regions of the trace and composes the
     compiled spans analytically: whole skipped cycles contribute
-    ``N x`` the compiled per-state segment sums, and a window edge that
+    ``N x`` the compiled :class:`CyclePrice`, and a window edge that
     lands inside a span clips the compiled segment list at the same
     offsets the event-by-event walk would clip its intervals.  Per-state
-    energies accumulate as exact rationals and round once at the end, so
-    they equal the event-by-event :func:`math.fsum` result bit-for-bit.
+    energies stay exact rationals and round once at the end, so they
+    equal the event-by-event :func:`math.fsum` result bit-for-bit.
     """
     if end_ps <= start_ps:
         raise MeasurementError("empty measurement window")
-    dwell: Dict[str, int] = {}
-    energy: Dict[str, Fraction] = {}
 
-    def add(state: str, duration_ps: int, watts: float) -> None:
-        dwell[state] = dwell.get(state, 0) + duration_ps
-        energy[state] = energy.get(state, Fraction()) + Fraction(
-            watts * (duration_ps / PICOSECONDS_PER_SECOND)
+    def partial(compiled: CompiledCycle, lo_off: int, hi_off: int) -> CyclePrice:
+        clipped = (
+            (max(lo, lo_off), min(hi, hi_off), state, watts)
+            for lo, hi, state, watts in compiled.segments
         )
+        return CyclePrice.of(seg for seg in clipped if seg[1] > seg[0])
 
-    def add_exact(lo: int, hi: int) -> None:
-        for seg_lo, seg_hi, state, watts in merge_state_power(trace, lo, hi):
-            add(state, seg_hi - seg_lo, watts)
-
-    def add_partial(compiled: CompiledCycle, lo_off: int, hi_off: int) -> None:
-        for seg_lo, seg_hi, state, watts in compiled.segments:
-            lo = max(seg_lo, lo_off)
-            hi = min(seg_hi, hi_off)
-            if hi > lo:
-                add(state, hi - lo, watts)
-
+    price = CyclePrice()
     cursor = start_ps
     for span in sorted(spans, key=lambda s: s.start_ps):
         lo = max(span.start_ps, start_ps)
@@ -247,33 +239,30 @@ def macro_residency_report(
         if hi <= lo:
             continue
         if lo > cursor:
-            add_exact(cursor, lo)
+            price += CyclePrice.of(merge_state_power(trace, cursor, lo))
         compiled = span.compiled
         period = compiled.duration_ps
         first_cycle, head_off = divmod(lo - span.start_ps, period)
         last_cycle, tail_off = divmod(hi - span.start_ps, period)
         if first_cycle == last_cycle:
-            add_partial(compiled, head_off, tail_off)
+            price += partial(compiled, head_off, tail_off)
         else:
             if head_off:
-                add_partial(compiled, head_off, period)
+                price += partial(compiled, head_off, period)
             full = last_cycle - first_cycle - (1 if head_off else 0)
             if full:
-                for state, cycle_dwell in compiled.state_dwell_ps.items():
-                    dwell[state] = dwell.get(state, 0) + full * cycle_dwell
-                for state, frac in compiled.state_energy.items():
-                    energy[state] = energy.get(state, Fraction()) + full * frac
+                price += compiled.price * full
             if tail_off:
-                add_partial(compiled, 0, tail_off)
+                price += partial(compiled, 0, tail_off)
         cursor = hi
     if cursor < end_ps:
-        add_exact(cursor, end_ps)
-    if not dwell:
+        price += CyclePrice.of(merge_state_power(trace, cursor, end_ps))
+    if not price.dwell_ps:
         raise MeasurementError("trace has no samples inside the window")
     return ResidencyReport(
         window_ps=end_ps - start_ps,
-        dwell_ps=dwell,
-        energy_j={state: float(frac) for state, frac in energy.items()},
+        dwell_ps=price.dwell_ps,
+        energy_j={state: float(joules) for state, joules in price.energy_j.items()},
     )
 
 
@@ -427,13 +416,6 @@ class MacroEngine:
                 p.trace, prev.time_ps, boundary.time_ps
             )
         )
-        state_dwell: Dict[str, int] = {}
-        state_energy: Dict[str, Fraction] = {}
-        for lo, hi, state, watts in segments:
-            state_dwell[state] = state_dwell.get(state, 0) + (hi - lo)
-            state_energy[state] = state_energy.get(state, Fraction()) + Fraction(
-                watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
-            )
         boundary_values = {
             POWER_CHANNEL: p.trace.value_at(POWER_CHANNEL, boundary.time_ps),
         }
@@ -455,8 +437,7 @@ class MacroEngine:
             platform_energy_j=platform_energy,
             rail_energy_j=rail_energy,
             segments=segments,
-            state_dwell_ps=state_dwell,
-            state_energy=state_energy,
+            price=CyclePrice.of(segments),
             boundary_values=boundary_values,
             boundary_state=p.trace.value_at(STATE_CHANNEL, boundary.time_ps),
         )
@@ -586,10 +567,10 @@ class MacroEngine:
                     "period_ps": period,
                     "wake_type": compiled.wake_type.value,
                     "wake_detail": compiled.wake_detail,
-                    "cycle_state_dwell_ps": dict(compiled.state_dwell_ps),
+                    "cycle_state_dwell_ps": dict(compiled.price.dwell_ps),
                     "cycle_state_energy_j": {
-                        state: float(frac)
-                        for state, frac in compiled.state_energy.items()
+                        state: float(joules)
+                        for state, joules in compiled.price.energy_j.items()
                     },
                     "cycle_rail_energy_j": dict(compiled.rail_energy_j),
                 },

@@ -101,6 +101,14 @@ def test_probe_prices_are_physical(probes):
             label.startswith("exit:") and entry["latency_ps"] > 0
             for label, entry in probe["steps"].items()
         )
+        # the flow channel's step windows tile the state channel's
+        # entry/exit dwell the cycle price reads
+        for flow in ("entry", "exit"):
+            assert probe[f"{flow}_latency_ps"] == sum(
+                entry["latency_ps"]
+                for label, entry in probe["steps"].items()
+                if label.startswith(f"{flow}:")
+            )
 
 
 # --- single-step mutations: each rule is non-vacuous -------------------------

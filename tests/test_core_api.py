@@ -47,8 +47,8 @@ class TestController:
 
     def test_measure_raw_periodic(self):
         controller = ODRIPSController(config=small_context_config())
-        result = controller.measure_raw_periodic(
-            cycles=2, maintenance_s=0.02, period_s=0.05, idle_s=0.03
+        result = controller.measure_raw(
+            cycles=2, idle_interval_s=0.03, maintenance_s=0.02, period_s=0.05
         )
         assert result.cycles == 2
 

@@ -207,3 +207,52 @@ class TestPowerTreeConservation:
             domain.new_component(f"c{index}", load)
         breakdown = tree.attributed_breakdown()
         assert sum(breakdown.values()) == pytest.approx(tree.platform_power())
+
+
+class TestCyclePriceProperties:
+    @given(
+        power_steps=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=10**9), st.floats(0, 10.0)),
+            min_size=1,
+            max_size=20,
+        ),
+        state_steps=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=10**9),
+                st.sampled_from(["active", "entry", "drips", "exit"]),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        bounds=st.tuples(
+            st.integers(min_value=0, max_value=2 * 10**10),
+            st.integers(min_value=0, max_value=2 * 10**10),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_price_matches_energy_by_state_bit_for_bit(
+        self, power_steps, state_steps, bounds
+    ):
+        from hypothesis import assume
+
+        from repro.measure.residency import (
+            CyclePrice,
+            energy_by_state,
+            merge_state_power,
+            residency_report,
+        )
+        from repro.sim.trace import TraceRecorder
+
+        start_ps, end_ps = sorted(bounds)
+        assume(end_ps > start_ps)
+        trace = TraceRecorder()
+        for channel, steps in (("platform", power_steps), ("state", state_steps)):
+            now = 0
+            for duration, value in steps:
+                trace.record(now, channel, value)
+                now += duration
+        price = CyclePrice.of(merge_state_power(trace, start_ps, end_ps))
+        rounded = {state: float(joules) for state, joules in price.energy_j.items()}
+        assert rounded == energy_by_state(trace, start_ps, end_ps)
+        assert price.dwell_ps == residency_report(trace, start_ps, end_ps).dwell_ps
+        assert price * 3 == price + price + price
