@@ -112,6 +112,10 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "cycle-compiled macro-stepping must keep week-long horizons interactive",
     ),
     BenchPolicy(
+        "mee_bulk_context_200kb", "speedup", "floor", 3.0,
+        "the bulk MEE path must commit and verify each tree node once per transfer",
+    ),
+    BenchPolicy(
         "explain_fig2_delta", "speedup", "floor", 1.5,
         "explaining a cached pair must reuse the memoized run profiles",
     ),

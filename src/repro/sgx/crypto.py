@@ -52,7 +52,8 @@ class CtrCipher:
     def encrypt(self, address: int, version: int, plaintext: bytes) -> bytes:
         """Encrypt ``plaintext`` bound to ``(address, version)``."""
         stream = self._keystream(address, version, len(plaintext))
-        return bytes(p ^ s for p, s in zip(plaintext, stream))
+        mixed = int.from_bytes(plaintext, "big") ^ int.from_bytes(stream, "big")
+        return mixed.to_bytes(len(plaintext), "big")
 
     def decrypt(self, address: int, version: int, ciphertext: bytes) -> bytes:
         """Decrypt; identical to :meth:`encrypt` in counter mode."""

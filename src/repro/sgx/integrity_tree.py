@@ -13,12 +13,20 @@ All metadata except the on-chip root really lives in the DRAM model, so a
 test can flip any DRAM byte and watch verification fail.  Every metadata
 access is charged to the backing device (latency + energy), which is what
 makes the MEE-cache ablation measurable.
+
+Per-block walks (:meth:`IntegrityTree.verify_block`,
+:meth:`IntegrityTree.update_block`) serve per-access reads and writes.
+Bulk transfers use the range paths (:meth:`IntegrityTree.verify_range`,
+:meth:`IntegrityTree.update_range`), which read and write metadata as
+ranges and commit or check each node once per transfer, leaving exactly
+the state the per-block walks would.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import SecurityError
 from repro.sgx.cache import MEECache
@@ -28,6 +36,8 @@ BLOCK_SIZE = 64
 ARITY = 8
 COUNTER_BYTES = 8
 MAC_BYTES = 8
+_RECORD = struct.Struct(f">Q{MAC_BYTES}s")  # one node: counter + MAC
+_RECORD_BYTES = _RECORD.size
 
 
 @dataclass(frozen=True)
@@ -290,37 +300,217 @@ class IntegrityTree:
             child_index = index
         self.root_counter += 1
 
+    # --- batched range paths (bulk FSM transfers) ----------------------------------------
+
+    def node_spans(self, first: int, last: int) -> List[Tuple[int, int]]:
+        """``(lo, hi)`` node indices covering blocks ``first..last``, per level 1..top."""
+        spans = []
+        for _level in range(self.geometry.levels):
+            first //= ARITY
+            last //= ARITY
+            spans.append((first, last))
+        return spans
+
+    def _read_counters(self, first: int, count: int) -> List[int]:
+        """Stored leaf versions of ``count`` blocks from ``first``, one range read."""
+        raw = self._read(self.geometry.version_address(first), count * COUNTER_BYTES)
+        return list(struct.unpack(f">{count}Q", raw))
+
+    def _read_records(self, level: int, lo: int, hi: int) -> List[Tuple[int, bytes]]:
+        """``(counter, MAC)`` of nodes ``lo..hi`` at ``level``, one range read."""
+        raw = self._read(self.geometry.node_address(level, lo), (hi - lo + 1) * _RECORD_BYTES)
+        return list(_RECORD.iter_unpack(raw))
+
+    def _children_span(self, level: int, lo: int, hi: int) -> List[bytes]:
+        """:meth:`_children_of` for every node ``lo..hi`` at ``level``, one range read."""
+        first = lo * ARITY
+        if level == 1:
+            last = min((hi + 1) * ARITY, self.geometry.data_blocks)
+            raw = self._read(
+                self.geometry.version_address(first), (last - first) * COUNTER_BYTES
+            )
+        else:
+            last = min((hi + 1) * ARITY, self.geometry.level_counts[level - 2])
+            records = self._read(
+                self.geometry.node_address(level - 1, first), (last - first) * _RECORD_BYTES
+            )
+            raw = b"".join(
+                records[start : start + COUNTER_BYTES]
+                for start in range(0, len(records), _RECORD_BYTES)
+            )
+        # zero counters pad the last node of a level, as in _children_of
+        width = ARITY * COUNTER_BYTES
+        raw = raw.ljust((hi - lo + 1) * width, b"\0")
+        return [raw[start : start + width] for start in range(0, len(raw), width)]
+
+    def _write_leaves(self, first: int, versions: List[int], ciphertext: bytes) -> None:
+        """Versions and data MACs of consecutive blocks, one range write each."""
+        geometry = self.geometry
+        macs = []
+        for position, version in enumerate(versions):
+            start = position * BLOCK_SIZE
+            macs.append(self.mac_key.tag(
+                b"data",
+                pack_counter(geometry.block_address(first + position)),
+                pack_counter(version),
+                ciphertext[start : start + BLOCK_SIZE],
+            ))
+        self._write(geometry.version_address(first), b"".join(map(pack_counter, versions)))
+        self._write(geometry.leaf_mac_address(first), b"".join(macs))
+
+    def _write_nodes(self, spans: List[Tuple[int, int]], counters: List[List[int]]) -> None:
+        """Write counter + MAC of every node in ``spans``, bottom-up, one write per level.
+
+        Each level's MACs read the children the level below has just
+        written, so one pass leaves every node consistent.
+        """
+        for level, ((lo, hi), level_counters) in enumerate(zip(spans, counters), start=1):
+            records = []
+            children = self._children_span(level, lo, hi)
+            for index, counter, covered in zip(range(lo, hi + 1), level_counters, children):
+                records.append(pack_counter(counter))
+                records.append(
+                    self.mac_key.tag(*self._node_mac_input(level, index, counter, covered))
+                )
+            self._write(self.geometry.node_address(level, lo), b"".join(records))
+
+    def update_range(
+        self, first: int, plaintext: bytes, encrypt: Callable[[int, int, bytes], bytes]
+    ) -> bytes:
+        """Batched :meth:`update_block` over the whole blocks of ``plaintext``.
+
+        ``encrypt(address, version, block)`` seals each block under its
+        new version; the ciphertext is returned for the caller to store.
+        The leaf versions and MACs are written as one range each, and each
+        node on the touched paths is re-MAC'd once, bottom-up.  The result
+        equals per-block :meth:`read_version` + :meth:`update_block` calls:
+        a node's counter goes up by the number of blocks under it, the
+        root by the number of blocks, and the cache sees the same lookups
+        and inserts in the same order (nodes inserted with their final
+        counters, the values the last per-block insert leaves).
+        """
+        geometry = self.geometry
+        count = len(plaintext) // BLOCK_SIZE
+        last = first + count - 1
+        spans = self.node_spans(first, last)
+        counters = []
+        width = 1
+        for level, (lo, hi) in enumerate(spans, start=1):
+            width *= ARITY
+            counters.append([
+                counter + min(last, (index + 1) * width - 1) - max(first, index * width) + 1
+                for index, (counter, _mac) in enumerate(self._read_records(level, lo, hi), lo)
+            ])
+        stored = self._read_counters(first, count)
+        versions = []
+        ciphertext = []
+        for position, block in enumerate(range(first, last + 1)):
+            cached = self.cache.lookup((0, block)) if self.cache is not None else None
+            version = (cached if cached is not None else stored[position]) + 1
+            versions.append(version)
+            start = position * BLOCK_SIZE
+            ciphertext.append(encrypt(
+                geometry.block_address(block), version, plaintext[start : start + BLOCK_SIZE]
+            ))
+            if self.cache is not None:
+                self.cache.insert((0, block), version)
+                index = block
+                for level, ((lo, _hi), level_counters) in enumerate(zip(spans, counters), 1):
+                    index //= ARITY
+                    self.cache.insert((level, index), level_counters[index - lo])
+        sealed = b"".join(ciphertext)
+        self._write_leaves(first, versions, sealed)
+        self._write_nodes(spans, counters)
+        self.root_counter += count
+        return sealed
+
+    def verify_range(self, first: int, ciphertext: bytes) -> Iterator[int]:
+        """Batched :meth:`verify_block`: yield each block's trusted version in turn.
+
+        Makes the same cache lookups and inserts in the same order, and
+        raises the same :class:`~repro.errors.SecurityError` at the same
+        block, as per-block calls.  DRAM metadata is read as ranges, and
+        a node's DRAM-side check (its stored MAC over a counter and its
+        children) is done at most once per counter value: DRAM does not
+        change during a read.  A cache hit is trusted only for the lookup
+        that returned it.
+        """
+        geometry = self.geometry
+        count = len(ciphertext) // BLOCK_SIZE
+        last = first + count - 1
+        stored = self._read_counters(first, count)
+        leaf_macs = self._read(geometry.leaf_mac_address(first), count * MAC_BYTES)
+        nodes = [
+            (lo, self._read_records(level, lo, hi), self._children_span(level, lo, hi))
+            for level, (lo, hi) in enumerate(self.node_spans(first, last), start=1)
+        ]
+        checked: Set[Tuple[int, int, int]] = set()
+        for position, block in enumerate(range(first, last + 1)):
+            cached = self.cache.lookup((0, block)) if self.cache is not None else None
+            version = cached if cached is not None else stored[position]
+            if not self.mac_key.verify(
+                leaf_macs[position * MAC_BYTES : (position + 1) * MAC_BYTES],
+                b"data",
+                pack_counter(geometry.block_address(block)),
+                pack_counter(version),
+                ciphertext[position * BLOCK_SIZE : (position + 1) * BLOCK_SIZE],
+            ):
+                raise SecurityError(f"data MAC mismatch on block {block}")
+            if cached is None:
+                self._verify_path(block, version, nodes, checked)
+                if self.cache is not None:
+                    self.cache.insert((0, block), version)
+            yield version
+
+    def _verify_path(self, block: int, leaf_version: int, nodes, checked) -> None:
+        """:meth:`_verify_counters_upward` over pre-read nodes, memoising passed checks."""
+        child_index = block
+        for level, (lo, records, children) in enumerate(nodes, start=1):
+            index = child_index // ARITY
+            stored_counter, stored_mac = records[index - lo]
+            covered = children[index - lo]
+            cached = self.cache.lookup((level, index)) if self.cache is not None else None
+            counter = cached if cached is not None else stored_counter
+            if (level, index, counter) not in checked:
+                if not self.mac_key.verify(
+                    stored_mac, *self._node_mac_input(level, index, counter, covered)
+                ):
+                    raise SecurityError(f"tree MAC mismatch at level {level} node {index}")
+                checked.add((level, index, counter))
+            if level == 1:
+                offset = (block % ARITY) * COUNTER_BYTES
+                if unpack_counter(covered[offset : offset + COUNTER_BYTES]) != leaf_version:
+                    raise SecurityError(f"leaf version replay on block {block}")
+            if cached is not None:
+                return
+            if self.cache is not None:
+                self.cache.insert((level, index), counter)
+            if level == len(nodes):
+                if counter != self.root_counter:
+                    raise SecurityError(
+                        f"root counter mismatch: DRAM={counter} on-chip={self.root_counter}"
+                    )
+                return
+            child_index = index
+
     # --- initialization ------------------------------------------------------------------------
 
-    def initialize(self, block_ciphertext=None) -> None:
+    def initialize(self, ciphertext: Optional[bytes] = None) -> None:
         """Write a consistent version-0 metadata state (region setup).
 
         Every leaf version is 0 with a valid MAC over the block's initial
         ciphertext, every node counter is 0 with a valid MAC over its
         children — so the very first verified read of an untouched block
-        succeeds.  ``block_ciphertext(block) -> bytes`` supplies the
-        initial ciphertext of each block (the MEE passes encrypted
-        zeros); by default the raw zero block is assumed.
+        succeeds.  ``ciphertext`` is the initial content of every block,
+        concatenated (the MEE passes encrypted zeros); by default the raw
+        zero blocks are assumed.
         """
-        geometry = self.geometry
-        zero_block = bytes(BLOCK_SIZE)
-        for block in range(geometry.data_blocks):
-            self._write(geometry.version_address(block), pack_counter(0))
-            address = geometry.block_address(block)
-            ciphertext = (
-                block_ciphertext(block) if block_ciphertext is not None else zero_block
-            )
-            mac = self.mac_key.tag(
-                b"data", pack_counter(address), pack_counter(0), ciphertext
-            )
-            self._write(geometry.leaf_mac_address(block), mac)
-        for level in range(1, geometry.levels + 1):
-            for index in range(geometry.level_counts[level - 1]):
-                node_address = geometry.node_address(level, index)
-                self._write(node_address, pack_counter(0))
-                children = self._children_of(level, index)
-                mac = self.mac_key.tag(*self._node_mac_input(level, index, 0, children))
-                self._write(node_address + COUNTER_BYTES, mac)
+        blocks = self.geometry.data_blocks
+        if ciphertext is None:
+            ciphertext = bytes(blocks * BLOCK_SIZE)
+        self._write_leaves(0, [0] * blocks, ciphertext)
+        spans = self.node_spans(0, blocks - 1)
+        self._write_nodes(spans, [[0] * (hi - lo + 1) for lo, hi in spans])
         self.root_counter = 0
         if self.cache is not None:
             self.cache.flush()

@@ -6,6 +6,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.clocks.clock import DerivedClock
 from repro.clocks.crystal import CrystalOscillator
+from repro.errors import SecurityError
 from repro.memory.dram import DRAMDevice
 from repro.power.meter import EnergyMeter
 from repro.sgx.cache import MEECache
@@ -108,17 +109,52 @@ class TestTimerProperties:
             assert timer.read(when - slow.period_ps) < target
 
 
+def make_engine(data_size, sets=4, ways=2):
+    """An initialized MEE on its own DRAM; every engine shares one key."""
+    device = DRAMDevice("dram", capacity_bytes=64 * (1 << 20))
+    geometry = TreeGeometry.for_data_size(1 << 20, data_size)
+    engine = MemoryEncryptionEngine(device, geometry, b"k" * 32, MEECache(sets, ways))
+    engine.initialize_region()
+    return engine
+
+
+def engine_state(engine):
+    """Everything the bulk path must leave as per-access calls would.
+
+    Region bytes (data and all metadata), the on-chip root, the cache's
+    entries in LRU order per set with its hit/miss/eviction counts, and
+    the engine's stats.
+    """
+    geometry = engine.geometry
+    return {
+        "region": engine.device._store.read(geometry.region_base, geometry.total_size),
+        "root": engine.tree.root_counter,
+        "cache": [list(line.items()) for line in engine.cache._lines.values()],
+        "cache_counts": (engine.cache.hits, engine.cache.misses, engine.cache.evictions),
+        "stats": vars(engine.stats).copy(),
+    }
+
+
+def outcome(call, *args):
+    """Returned data (None for a write) or the SecurityError message."""
+    try:
+        result = call(*args)
+    except SecurityError as error:
+        return ("error", str(error))
+    return ("data", result[0] if isinstance(result, tuple) else None)
+
+
 class MEEStateMachine(RuleBasedStateMachine):
     """Stateful test: the MEE behaves like a plain byte store with
-    verification, across arbitrary interleavings of reads, writes and
-    power cycles."""
+    verification, across arbitrary interleavings of reads, writes, bulk
+    transfers and power cycles.  A twin engine (same key, its own DRAM)
+    takes every bulk transfer as a per-access read or write, and must
+    stay in exactly the same state."""
 
     def __init__(self):
         super().__init__()
-        device = DRAMDevice("dram", capacity_bytes=64 * (1 << 20))
-        geometry = TreeGeometry.for_data_size(1 << 20, 4096)
-        self.mee = MemoryEncryptionEngine(device, geometry, b"k" * 32, MEECache(4, 2))
-        self.mee.initialize_region()
+        self.mee = make_engine(4096)
+        self.twin = make_engine(4096)
         self.shadow = bytearray(4096)
 
     @rule(offset=st.integers(0, 4000), data=st.binary(min_size=1, max_size=96))
@@ -127,28 +163,115 @@ class MEEStateMachine(RuleBasedStateMachine):
         if not data:
             return
         self.mee.write(offset, data)
+        self.twin.write(offset, data)
         self.shadow[offset : offset + len(data)] = data
 
     @rule(offset=st.integers(0, 4000), length=st.integers(1, 96))
     def read(self, offset, length):
         length = min(length, 4096 - offset)
         got, _latency = self.mee.read(offset, length)
+        self.twin.read(offset, length)
         assert got == bytes(self.shadow[offset : offset + length])
+
+    @rule(offset=st.integers(0, 4096), data=st.binary(max_size=700))
+    def bulk_write(self, offset, data):
+        data = data[: 4096 - offset]
+        self.mee.bulk_write(offset, data)
+        self.twin.write(offset, data)
+        self.shadow[offset : offset + len(data)] = data
+
+    @rule(offset=st.integers(0, 4096), length=st.integers(0, 700))
+    def bulk_read(self, offset, length):
+        length = min(length, 4096 - offset)
+        got, _latency = self.mee.bulk_read(offset, length)
+        want, _latency = self.twin.read(offset, length)
+        assert got == want == bytes(self.shadow[offset : offset + length])
 
     @rule()
     def power_cycle(self):
-        state = self.mee.power_off()
-        self.mee.power_on(state)
+        for engine in (self.mee, self.twin):
+            engine.power_on(engine.power_off())
 
     @invariant()
     def root_counter_counts_writes(self):
         assert self.mee.tree.root_counter == self.mee.stats.blocks_written
+
+    @invariant()
+    def bulk_matches_per_access_twin(self):
+        assert engine_state(self.mee) == engine_state(self.twin)
 
 
 TestMEEStateMachine = MEEStateMachine.TestCase
 TestMEEStateMachine.settings = settings(
     max_examples=15, stateful_step_count=20, deadline=None
 )
+
+
+class TestMEEBulkDifferential:
+    """The batched bulk path equals per-access calls, tampered DRAM included."""
+
+    @pytest.mark.parametrize(
+        "zone", [None, "data", "versions", "macs", "nodes", "replay"]
+    )
+    @given(
+        sets=st.sampled_from([4, 32, 64]),
+        ways=st.sampled_from([1, 2, 8]),
+        warm=st.booleans(),
+        bulk_write=st.booleans(),
+        offset=st.integers(0, 8191),
+        length=st.integers(1, 1500),
+        pick=st.integers(0, 2**16),
+        bit=st.integers(0, 7),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bulk_equals_per_access(
+        self, zone, sets, ways, warm, bulk_write, offset, length, pick, bit, seed
+    ):
+        """Same data or SecurityError message, and same engine state, after
+        one bit flipped in the data or metadata of a covered block, or
+        after the whole region is rolled back one write (replay)."""
+        import random
+
+        from repro.sgx.integrity_tree import ARITY, BLOCK_SIZE
+
+        length = min(length, 8192 - offset)
+        rng = random.Random(seed)
+        history = [(rng.randrange(8192 - 256), rng.randbytes(256)) for _ in range(3)]
+        data = rng.randbytes(length)
+        engines = [make_engine(8192, sets=sets, ways=ways) for _ in range(2)]
+        geometry = engines[0].geometry
+        first = offset // BLOCK_SIZE
+        block = first + pick % ((offset + length - 1) // BLOCK_SIZE - first + 1)
+        level = 1 + pick % geometry.levels
+        flipped = {
+            "data": geometry.block_address(block) + pick % BLOCK_SIZE,
+            "versions": geometry.version_address(block) + pick % 8,
+            "macs": geometry.leaf_mac_address(block) + pick % 8,
+            "nodes": geometry.node_address(level, block // ARITY**level) + pick % 16,
+        }
+        for engine in engines:
+            store = engine.device._store
+            for at, blob in history:
+                snapshot = store.read(geometry.region_base, geometry.total_size)
+                engine.write(at, blob)
+            engine.power_on(engine.power_off())  # cold cache
+            if warm:
+                engine.read(offset, length)
+            if zone == "replay":
+                store.write(geometry.region_base, snapshot)
+            elif zone is not None:
+                (byte,) = store.read(flipped[zone], 1)
+                store.write(flipped[zone], bytes([byte ^ (1 << bit)]))
+        bulk, twin = engines
+        if bulk_write:
+            got = outcome(bulk.bulk_write, offset, data)
+            want = outcome(twin.write, offset, data)
+        else:
+            got = outcome(bulk.bulk_read, offset, length)
+            want = outcome(twin.read, offset, length)
+        assert got == want
+        assert engine_state(bulk) == engine_state(twin)
 
 
 class TestKernelOrderingProperty:

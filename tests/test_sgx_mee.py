@@ -158,6 +158,54 @@ class TestBulkTransfers:
         assert latency > 0
 
 
+    def test_empty_bulk_transfers_touch_nothing(self):
+        device, mee = make_mee()
+        mee.bulk_write(0, bytes(256))
+
+        def observed():
+            return (
+                device.bytes_read, device.bytes_written, mee.tree.metadata_accesses,
+                mee.tree.root_counter, mee.cache.hits, mee.cache.misses,
+                vars(mee.stats).copy(),
+            )
+
+        before = observed()
+        assert mee.bulk_write(64, b"") == 0
+        assert mee.bulk_read(64, 0) == (b"", 0)
+        assert mee.bulk_read(mee.data_capacity, 0) == (b"", 0)
+        assert observed() == before
+
+
+class TestBulkTamper:
+    def test_bulk_read_rechecks_node_evicted_mid_transfer(self):
+        """A node verified from a cache hit is checked again from DRAM once evicted.
+
+        With a one-way cache, level-1 node 0 shares its set with block 3:
+        blocks 1-3 trust its cached counter, block 3's insert evicts it,
+        and block 4 must read the tampered DRAM counter and fail at
+        level 1, exactly as per-access reads do.
+        """
+        engines = []
+        for _ in range(2):
+            device = DRAMDevice("dram", capacity_bytes=256 * (1 << 20))
+            geometry = TreeGeometry.for_data_size(REGION_BASE, 8192)
+            mee = MemoryEncryptionEngine(device, geometry, MASTER, MEECache(4, 1))
+            mee.initialize_region()
+            mee.read(0, 64)  # caches level-1 node 0
+            address = geometry.node_address(1, 0)
+            (byte,) = device._store.read(address, 1)
+            device._store.write(address, bytes([byte ^ 1]))
+            engines.append(mee)
+        bulk, twin = engines
+        with pytest.raises(SecurityError, match="level 1 node 0") as bulk_error:
+            bulk.bulk_read(64, 4 * 64)
+        with pytest.raises(SecurityError) as twin_error:
+            twin.read(64, 4 * 64)
+        assert str(bulk_error.value) == str(twin_error.value)
+        assert bulk.stats == twin.stats
+        assert bulk.stats.blocks_read == 1 + 3  # the warm-up read, then blocks 1-3
+
+
 class TestRoundtripProperty:
     @given(
         offset=st.integers(min_value=0, max_value=1000),
