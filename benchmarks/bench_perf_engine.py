@@ -442,6 +442,42 @@ def test_macro_step_week(benchmark, emit):
     )
 
 
+#: Exact standby cycles timed per round; the figure is the fastest of
+#: ``STANDBY_EXACT_ROUNDS`` rounds, so one slow host stretch does not
+#: trip the ``standby_exact_cycles`` ceiling in the regress watchdog.
+STANDBY_EXACT_CYCLES = 10
+STANDBY_EXACT_ROUNDS = 5
+
+
+def test_standby_exact_cycles(benchmark, emit):
+    """Ten event-by-event ODRIPS-MRAM standby cycles, no external wakes.
+
+    Each cycle synthesizes and saves the SA + cores/graphics context and
+    re-evaluates battery-side power at every component change, so this
+    row watches context synthesis and power-tree propagation, the host
+    cost of every exact cycle (and of the macro engine's fallbacks).
+    """
+    from repro.core.odrips import ODRIPSController
+    from repro.core.techniques import TechniqueSet
+
+    def run():
+        return ODRIPSController(TechniqueSet.odrips_mram()).measure(
+            cycles=STANDBY_EXACT_CYCLES, external_wakes=False
+        )
+
+    benchmark.pedantic(run, rounds=STANDBY_EXACT_ROUNDS, iterations=1)
+    wall_s = min(benchmark.stats.stats.data)
+    _results["standby_exact_cycles"] = {
+        "wall_s": wall_s,
+        "cycles": STANDBY_EXACT_CYCLES,
+        "cycles_per_s": STANDBY_EXACT_CYCLES / wall_s,
+    }
+    emit(
+        f"standby exact: {STANDBY_EXACT_CYCLES} ODRIPS-MRAM cycles in "
+        f"{wall_s * 1e3:.1f} ms ({STANDBY_EXACT_CYCLES / wall_s:.0f} cycles/s)"
+    )
+
+
 #: The batched MEE bulk path must beat per-access writes and reads of
 #: the same 200 KB context by at least this factor (regress floor too).
 MIN_MEE_BULK_SPEEDUP = 3.0

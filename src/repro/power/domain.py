@@ -115,7 +115,7 @@ class PowerDomain:
 
     def __init__(self, name: str, gate: Optional[PowerGate] = None) -> None:
         self.name = name
-        self.gate = gate
+        self._gate = gate
         self._components: List[Component] = []
         self._enabled = True
         self._listener: Optional[ChangeListener] = None
@@ -136,6 +136,16 @@ class PowerDomain:
     def components(self) -> List[Component]:
         return list(self._components)
 
+    @property
+    def gate(self) -> Optional[PowerGate]:
+        return self._gate
+
+    @gate.setter
+    def gate(self, gate: Optional[PowerGate]) -> None:
+        """Fit or swap the gate; the rail re-evaluates like any other change."""
+        self._gate = gate
+        self.notify_change()
+
     # --- on/off ------------------------------------------------------------
 
     @property
@@ -147,7 +157,7 @@ class PowerDomain:
         """True when components actually receive power."""
         if not self._enabled:
             return False
-        if self.gate is not None and not self.gate.closed:
+        if self._gate is not None and not self._gate.closed:
             return False
         return True
 
@@ -156,8 +166,8 @@ class PowerDomain:
         if self._enabled:
             self._enabled = False
             self.transition_count += 1
-            if self.gate is not None:
-                self.gate.open()
+            if self._gate is not None:
+                self._gate.open()
             self.notify_change()
 
     def power_on(self) -> None:
@@ -165,8 +175,8 @@ class PowerDomain:
         if not self._enabled:
             self._enabled = True
             self.transition_count += 1
-            if self.gate is not None:
-                self.gate.close()
+            if self._gate is not None:
+                self._gate.close()
             self.notify_change()
 
     # --- accounting ----------------------------------------------------------
@@ -178,11 +188,11 @@ class PowerDomain:
     def load_watts(self) -> float:
         """Load presented to the rail, accounting for the gate state."""
         nominal = self.nominal_load_watts() if self._enabled else 0.0
-        if self.gate is not None:
+        if self._gate is not None:
             if not self._enabled:
                 # The gate leaks a fraction of what the load *would* draw.
-                return self.gate.delivered_power(self.nominal_load_watts())
-            return self.gate.delivered_power(nominal)
+                return self._gate.delivered_power(self.nominal_load_watts())
+            return self._gate.delivered_power(nominal)
         return nominal
 
     def set_listener(self, listener: ChangeListener) -> None:
@@ -208,6 +218,9 @@ class Rail:
         self.regulator = regulator
         self._domains: List[PowerDomain] = []
         self._listener: Optional[ChangeListener] = None
+        # input_power() memo; every mutation below the rail reaches
+        # _on_change, which is the only place that drops it.
+        self._input_power: Optional[float] = None
 
     def add_domain(self, domain: PowerDomain) -> PowerDomain:
         self._domains.append(domain)
@@ -228,7 +241,9 @@ class Rail:
 
     def input_power(self) -> float:
         """Battery-side power of this rail through its regulator."""
-        return self.regulator.input_power(self.load_watts())
+        if self._input_power is None:
+            self._input_power = self.regulator.input_power(self.load_watts())
+        return self._input_power
 
     def turn_off(self) -> None:
         """Disable the regulator.  All domains must be off first."""
@@ -247,6 +262,7 @@ class Rail:
         self._listener = listener
 
     def _on_change(self) -> None:
+        self._input_power = None
         if self._listener is not None:
             self._listener()
 

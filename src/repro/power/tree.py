@@ -105,7 +105,8 @@ class PowerTree:
         if self._suspended:
             return
         now = self.kernel.now
-        total = self.platform_power()
+        rail_watts = [rail.input_power() for rail in self._rails]
+        total = sum(rail_watts)
         # Only the platform total goes to the energy meter: per-rail numbers
         # are views (available via rail.input_power()), and feeding them to
         # the meter would double-count energy.  The trace, however, records
@@ -115,8 +116,8 @@ class PowerTree:
         self.meter.set_power(now, self.PLATFORM_CHANNEL, total)
         if self.trace is not None:
             self.trace.record(now, self.PLATFORM_CHANNEL, total)
-            for rail in self._rails:
-                self.trace.record(now, f"rail:{rail.name}", rail.input_power())
+            for rail, watts in zip(self._rails, rail_watts):
+                self.trace.record(now, f"rail:{rail.name}", watts)
 
     def refresh(self) -> None:
         """Force re-evaluation (e.g. after attaching pre-built rails)."""

@@ -23,14 +23,12 @@ def synthesize_context(label: str, length: int, generation: int = 0) -> bytes:
     Deterministic so tests can verify the save/restore round trip
     bit-for-bit; parameterized by ``generation`` so successive DRIPS
     cycles store *different* context (catching stale-restore bugs).
+    One SHAKE-256 extendable-output call produces the whole image; no
+    simulated cost reads the bytes, only their length.
     """
-    out = bytearray()
-    counter = 0
-    seed = f"{label}:{generation}".encode("utf-8")
-    while len(out) < length:
-        out.extend(hashlib.sha256(seed + counter.to_bytes(8, "big")).digest())
-        counter += 1
-    return bytes(out[:length])
+    if length < 0:
+        raise FlowError(f"{label}: negative context length {length}")
+    return hashlib.shake_256(f"{label}:{generation}".encode("utf-8")).digest(length)
 
 
 class ComputeDomain:

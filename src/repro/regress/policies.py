@@ -112,6 +112,10 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "cycle-compiled macro-stepping must keep week-long horizons interactive",
     ),
     BenchPolicy(
+        "standby_exact_cycles", "wall_s", "ceiling", 0.045,
+        "an exact standby cycle must stay cheap: context synthesis and rail propagation",
+    ),
+    BenchPolicy(
         "mee_bulk_context_200kb", "speedup", "floor", 3.0,
         "the bulk MEE path must commit and verify each tree node once per transfer",
     ),

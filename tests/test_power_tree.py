@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.power.gates import BoardFETGate
+from repro.power.gates import BoardFETGate, EmbeddedPowerGate
 from repro.units import SECOND
 
 
@@ -107,3 +107,15 @@ class TestAttribution:
         rail.new_domain("d")  # empty
         breakdown = tree.attributed_breakdown()
         assert breakdown["vr:a"] == pytest.approx(0.05)
+
+
+class TestNotification:
+    def test_gate_swap_reaches_platform_power(self, tree, trace):
+        """Fitting a new gate is a power-state change like any other."""
+        domain = tree.new_rail("a", 1.0).new_domain("d", gate=EmbeddedPowerGate("epg"))
+        domain.new_component("c", 1.0)
+        domain.power_off()
+        assert tree.platform_power() == 1.0 * EmbeddedPowerGate.leakage_fraction
+        domain.gate = BoardFETGate("fet", closed=False)
+        assert tree.platform_power() == 1.0 * BoardFETGate.leakage_fraction
+        assert trace.last("platform").value == 1.0 * BoardFETGate.leakage_fraction

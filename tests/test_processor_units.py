@@ -1,5 +1,7 @@
 """Tests for processor-side units: C-states, compute, LLC, SRAMs, boot."""
 
+import hashlib
+
 import pytest
 
 from repro.config import ActivePowerModel, ContextInventory
@@ -84,6 +86,28 @@ class TestComputeDomain:
     def test_synthesize_context_deterministic(self):
         assert synthesize_context("a", 100, 1) == synthesize_context("a", 100, 1)
         assert synthesize_context("a", 100, 1) != synthesize_context("b", 100, 1)
+
+    @pytest.mark.parametrize(
+        "label, length, generation, sha256",
+        [
+            ("system_agent", 64 * 1024, 1,
+             "68274bd7db50f5ba2f6df9037d145c9852c122d7cd563a5d1cd45eab2aee1881"),
+            ("cores", 1000, 3,
+             "2e1e7eb9e98835ec4ed7f1df2f3c0bf6e45b8de86022385d5d2631f3557947d5"),
+        ],
+    )
+    def test_synthesize_context_pinned(self, label, length, generation, sha256):
+        """Changing the generator must be a deliberate, visible edit."""
+        blob = synthesize_context(label, length, generation)
+        assert len(blob) == length
+        assert hashlib.sha256(blob).hexdigest() == sha256
+
+    def test_synthesize_context_empty(self):
+        assert synthesize_context("system_agent", 0, 1) == b""
+
+    def test_synthesize_context_negative_length_rejected(self):
+        with pytest.raises(FlowError):
+            synthesize_context("system_agent", -1, 1)
 
 
 class TestLLC:

@@ -2,7 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.clocks.clock import DerivedClock
 from repro.clocks.crystal import CrystalOscillator
@@ -330,6 +330,178 @@ class TestPowerTreeConservation:
             domain.new_component(f"c{index}", load)
         breakdown = tree.attributed_breakdown()
         assert sum(breakdown.values()) == pytest.approx(tree.platform_power())
+
+
+def uncached_rail_watts(tree):
+    """Battery-side watts per rail, recomputed without the rail memo."""
+    return [rail.regulator.input_power(rail.load_watts()) for rail in tree.rails]
+
+
+def uncached_breakdown(tree):
+    """``attributed_breakdown`` with every rail re-evaluated from scratch."""
+    from unittest import mock
+
+    from repro.power.domain import Rail
+
+    def recompute(rail):
+        return rail.regulator.input_power(rail.load_watts())
+
+    with mock.patch.object(Rail, "input_power", recompute):
+        return tree.attributed_breakdown()
+
+
+_watts = st.floats(min_value=0.0, max_value=0.5)
+_gate_kinds = st.sampled_from([None, "epg", "fet"])
+_rail_specs = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.floats(1e-4, 10.0), st.floats(0.3, 1.0)), min_size=1, max_size=3
+        ),
+        st.floats(0.0, 0.01),
+        st.lists(
+            st.tuples(_gate_kinds, st.lists(st.tuples(_watts, _watts), max_size=3)),
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def make_gate(kind, name, closed=True):
+    from repro.power.gates import BoardFETGate, EmbeddedPowerGate
+
+    if kind is None:
+        return None
+    return (EmbeddedPowerGate if kind == "epg" else BoardFETGate)(name, closed)
+
+
+class PowerTreeOracle(RuleBasedStateMachine):
+    """Generated power trees under generated mutation sequences.
+
+    After every step the tree's answers (``platform_power``,
+    ``attributed_breakdown``, and the meter and trace values of the last
+    propagation) must equal an uncached recomputation from the leaves,
+    bit for bit.  A mutation that skips the rail notification leaves a
+    stale rail memo behind and fails here.
+    """
+
+    @initialize(spec=_rail_specs)
+    def build(self, spec):
+        from repro.power.regulator import EfficiencyCurve
+        from repro.power.tree import PowerTree
+        from repro.sim.kernel import Kernel
+        from repro.sim.trace import TraceRecorder
+
+        self.tree = PowerTree(Kernel(), EnergyMeter(), TraceRecorder())
+        self.domains = []
+        self.components = []
+        self.depth = 0
+        for r, (points, quiescent, domains) in enumerate(spec):
+            rail = self.tree.new_rail(f"r{r}", 1.0, EfficiencyCurve(points), quiescent)
+            for d, (gate, loads) in enumerate(domains):
+                domain = rail.new_domain(f"r{r}.d{d}", make_gate(gate, f"g{r}.{d}"))
+                self.domains.append((rail, domain))
+                for c, (leakage, dynamic) in enumerate(loads):
+                    component = domain.new_component(f"r{r}.d{d}.c{c}", leakage, dynamic)
+                    self.components.append((rail, component))
+
+    def _live(self, pool, index):
+        """The indexed (rail, item), or None when the pool is empty or its
+        rail's regulator is off (loading a dead rail is a sequencing
+        fault the flows never commit)."""
+        if not pool:
+            return None
+        rail, item = pool[index % len(pool)]
+        return item if rail.regulator.enabled else None
+
+    @rule(index=st.integers(0, 99), leakage=_watts, dynamic=_watts)
+    def set_power(self, index, leakage, dynamic):
+        component = self._live(self.components, index)
+        if component is not None:
+            component.set_power(leakage, dynamic)
+
+    @rule(index=st.integers(0, 99), watts=_watts)
+    def set_leakage(self, index, watts):
+        component = self._live(self.components, index)
+        if component is not None:
+            component.set_leakage(watts)
+
+    @rule(index=st.integers(0, 99), watts=_watts)
+    def set_dynamic(self, index, watts):
+        component = self._live(self.components, index)
+        if component is not None:
+            component.set_dynamic(watts)
+
+    @rule(index=st.integers(0, 99))
+    def power_off(self, index):
+        domain = self._live(self.domains, index)
+        if domain is not None:
+            domain.power_off()
+
+    @rule(index=st.integers(0, 99))
+    def power_on(self, index):
+        domain = self._live(self.domains, index)
+        if domain is not None:
+            domain.power_on()
+
+    @rule(index=st.integers(0, 99), kind=_gate_kinds)
+    def swap_gate(self, index, kind):
+        domain = self._live(self.domains, index)
+        if domain is not None:
+            domain.gate = make_gate(kind, f"swap{index}", closed=domain.enabled)
+
+    @rule(index=st.integers(0, 99))
+    def turn_off(self, index):
+        from repro.errors import PowerError
+
+        rail = self.tree.rails[index % len(self.tree.rails)]
+        try:
+            rail.turn_off()
+        except PowerError:
+            assert rail.regulator.enabled  # refused before any change
+
+    @rule(index=st.integers(0, 99))
+    def turn_on(self, index):
+        self.tree.rails[index % len(self.tree.rails)].turn_on()
+
+    @rule()
+    def suspend(self):
+        self.tree.suspend_updates()
+        self.depth += 1
+
+    @rule()
+    def resume(self):
+        self.tree.resume_updates()
+        self.depth = max(self.depth - 1, 0)
+
+    @rule(ps=st.integers(1, 10**12))
+    def advance(self, ps):
+        self.tree.kernel.advance_to(self.tree.kernel.now + ps)
+
+    @invariant()
+    def queries_match_recomputation(self):
+        rail_watts = uncached_rail_watts(self.tree)
+        assert self.tree.platform_power() == sum(rail_watts)
+        assert [rail.input_power() for rail in self.tree.rails] == rail_watts
+        assert self.tree.attributed_breakdown() == uncached_breakdown(self.tree)
+
+    @invariant()
+    def last_propagation_matches_recomputation(self):
+        if self.depth:
+            return  # suspended: the last record predates the batch
+        rail_watts = uncached_rail_watts(self.tree)
+        trace = self.tree.trace
+        assert trace.last("platform").value == sum(rail_watts)
+        assert self.tree.meter.power("platform") == sum(rail_watts)
+        for rail, watts in zip(self.tree.rails, rail_watts):
+            assert trace.last(f"rail:{rail.name}").value == watts
+
+
+TestPowerTreeOracle = PowerTreeOracle.TestCase
+TestPowerTreeOracle.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
 
 
 class TestCyclePriceProperties:
