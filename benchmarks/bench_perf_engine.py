@@ -536,6 +536,105 @@ def test_mee_bulk_context_200kb(benchmark, emit):
     )
 
 
+#: Seeded per-access MEE operations timed per round; the figure is the
+#: fastest of ``MEE_RANDOM_ACCESS_ROUNDS`` rounds.
+MEE_RANDOM_ACCESSES = 2000
+MEE_RANDOM_ACCESS_ROUNDS = 5
+
+
+class _CountingDevice:
+    """Counts device calls and the charged accesses they make."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.calls = 0
+        self.charged = 0
+
+    def read(self, address, length):
+        self.calls += 1
+        self.charged += 1
+        return self.inner.read(address, length)
+
+    def read_spans(self, spans):
+        self.calls += 1
+        self.charged += len(spans)
+        return self.inner.read_spans(spans)
+
+    def write(self, address, data):
+        self.calls += 1
+        self.charged += 1
+        return self.inner.write(address, data)
+
+
+def test_mee_random_access(benchmark, emit):
+    """Per-access MEE reads and writes over the platform's protected region.
+
+    The CTX-SGX-DRAM platform's geometry (200 KB context, 3,200 blocks)
+    behind its 64x8 metadata cache, a working set larger than the cache:
+    70 % 64-byte reads, 15 % full-block writes and 15 % 16-byte
+    read-modify-writes on uniform blocks, each round from a freshly
+    initialized region.  This row watches the per-access tree walks the
+    bulk path bypasses.  A second, untimed pass through a counting
+    device records device calls and charged accesses per access: the
+    walks hand each run of consecutive metadata reads to one call.
+    """
+    import random
+
+    from repro.core.techniques import TechniqueSet
+    from repro.memory.dram import DRAMDevice
+    from repro.sgx.cache import MEECache
+    from repro.sgx.integrity_tree import BLOCK_SIZE
+    from repro.sgx.mee import MemoryEncryptionEngine
+    from repro.system.skylake import SkylakePlatform
+
+    geometry = SkylakePlatform(techniques=TechniqueSet.ctx_sgx_dram_only()).mee.geometry
+    rng = random.Random(2020)
+    plan = []
+    for _ in range(MEE_RANDOM_ACCESSES):
+        block = rng.randrange(geometry.data_blocks)
+        kind = rng.choices(("read", "write", "partial"), weights=(70, 15, 15))[0]
+        if kind == "read":
+            plan.append((True, block * BLOCK_SIZE, BLOCK_SIZE))
+        elif kind == "write":
+            plan.append((False, block * BLOCK_SIZE, rng.randbytes(BLOCK_SIZE)))
+        else:
+            plan.append((False, block * BLOCK_SIZE + 16 * rng.randrange(4), rng.randbytes(16)))
+
+    def make_engine(device):
+        return MemoryEncryptionEngine(device, geometry, b"k" * 32, MEECache(64, 8))
+
+    def run(engine):
+        for is_read, offset, arg in plan:
+            if is_read:
+                engine.read(offset, arg)
+            else:
+                engine.write(offset, arg)
+
+    engine = make_engine(DRAMDevice("dram"))
+    benchmark.pedantic(
+        run, args=(engine,), setup=engine.initialize_region,
+        rounds=MEE_RANDOM_ACCESS_ROUNDS, iterations=1,
+    )
+    wall_s = min(benchmark.stats.stats.data)
+
+    counting = _CountingDevice(DRAMDevice("dram"))
+    engine = make_engine(counting)
+    engine.initialize_region()
+    counting.calls = counting.charged = 0
+    run(engine)
+    _results["mee_random_access"] = {
+        "wall_s": wall_s,
+        "accesses": MEE_RANDOM_ACCESSES,
+        "device_calls_per_access": counting.calls / MEE_RANDOM_ACCESSES,
+        "charged_accesses_per_access": counting.charged / MEE_RANDOM_ACCESSES,
+    }
+    emit(
+        f"MEE random access: {MEE_RANDOM_ACCESSES} accesses in {wall_s * 1e3:.0f} ms; "
+        f"{counting.calls / MEE_RANDOM_ACCESSES:.1f} device calls and "
+        f"{counting.charged / MEE_RANDOM_ACCESSES:.1f} charged accesses per access"
+    )
+
+
 #: Explaining the same run pair twice must hit the memoized profiles
 #: instead of re-simulating (the regress watchdog carries the same
 #: floor).  Kept loose: the win is two whole traced simulations.

@@ -14,7 +14,7 @@ latency.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryFault
 from repro.memory.store import SparseMemory
@@ -69,6 +69,9 @@ class DRAMDevice:
         self.access_energy_joules = 0.0
         self.bytes_read = 0
         self.bytes_written = 0
+        #: ``(energy_joules, latency_ps)`` per access length at the
+        #: current frequency; :meth:`set_frequency` drops it.
+        self._costs: Dict[int, Tuple[float, int]] = {}
         self._update_power()
 
     # --- derived quantities ------------------------------------------------
@@ -90,6 +93,7 @@ class DRAMDevice:
         if self._state != DRAMState.ACTIVE:
             raise MemoryFault(f"{self.name}: retrain only in active state")
         self.transfer_rate_hz = transfer_rate_hz
+        self._costs.clear()
         self._update_power()
 
     def _frequency_scale(self) -> float:
@@ -164,18 +168,44 @@ class DRAMDevice:
         scale = 0.7 + 0.3 * self._frequency_scale()
         return self.access_energy_pj_per_byte_at_1600 * 1e-12 * length * scale
 
+    def _cost(self, length: int) -> Tuple[float, int]:
+        """``(energy_joules, latency_ps)`` of one ``length``-byte access."""
+        cost = self._costs.get(length)
+        if cost is None:
+            cost = (self._access_energy(length), self.transfer_latency_ps(length))
+            self._costs[length] = cost
+        return cost
+
     def read(self, address: int, length: int) -> tuple:
         """Read bytes; returns ``(data, latency_ps)``."""
-        self._check_accessible()
-        data = self._store.read(address, length)
-        self.bytes_read += length
-        self.access_energy_joules += self._access_energy(length)
-        return data, self.transfer_latency_ps(length)
+        (data,), latency_ps = self.read_spans(((address, length),))
+        return data, latency_ps
+
+    def read_spans(self, spans: Sequence[Tuple[int, int]]) -> Tuple[List[bytes], int]:
+        """Read several ``(address, length)`` spans; returns ``(chunks, latency_ps)``.
+
+        The one charging path of reads: each span is checked, read and
+        charged (``bytes_read``, one energy addition) exactly as a lone
+        :meth:`read` would be, in order, and the latencies are summed.
+        A fault leaves the spans before it charged.
+        """
+        if spans:
+            self._check_accessible()  # the state cannot change mid-call
+        chunks = []
+        latency_ps = 0
+        for address, length in spans:
+            chunks.append(self._store.read(address, length))
+            energy, span_latency_ps = self._costs.get(length) or self._cost(length)
+            self.bytes_read += length
+            self.access_energy_joules += energy
+            latency_ps += span_latency_ps
+        return chunks, latency_ps
 
     def write(self, address: int, data: bytes) -> int:
         """Write bytes; returns the transfer latency in picoseconds."""
         self._check_accessible()
         self._store.write(address, data)
+        energy, latency_ps = self._cost(len(data))
         self.bytes_written += len(data)
-        self.access_energy_joules += self._access_energy(len(data))
-        return self.transfer_latency_ps(len(data))
+        self.access_energy_joules += energy
+        return latency_ps

@@ -17,7 +17,7 @@ concern that "many emerging eNVMs still suffer from low endurance".
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryFault
 from repro.memory.store import SparseMemory
@@ -108,12 +108,28 @@ class NVMDevice:
 
     def read(self, address: int, length: int) -> tuple:
         """Read bytes; returns ``(data, latency_ps)``."""
-        self._check_powered()
-        data = self._store.read(address, length)
-        self.bytes_read += length
-        self.access_energy_joules += self.read_energy_pj_per_byte * 1e-12 * length
-        streaming = length / self.read_bandwidth_bytes_per_s * PICOSECONDS_PER_SECOND
-        return data, self.base_read_latency_ps + round(streaming)
+        (data,), latency_ps = self.read_spans(((address, length),))
+        return data, latency_ps
+
+    def read_spans(self, spans: Sequence[Tuple[int, int]]) -> Tuple[List[bytes], int]:
+        """Read several ``(address, length)`` spans; returns ``(chunks, latency_ps)``.
+
+        The one charging path of reads: each span is checked, read and
+        charged (``bytes_read``, one energy addition) exactly as a lone
+        :meth:`read` would be, in order, and the latencies are summed.
+        A fault leaves the spans before it charged.
+        """
+        if spans:
+            self._check_powered()  # power cannot change mid-call
+        chunks = []
+        latency_ps = 0
+        for address, length in spans:
+            chunks.append(self._store.read(address, length))
+            self.bytes_read += length
+            self.access_energy_joules += self.read_energy_pj_per_byte * 1e-12 * length
+            streaming = length / self.read_bandwidth_bytes_per_s * PICOSECONDS_PER_SECOND
+            latency_ps += self.base_read_latency_ps + round(streaming)
+        return chunks, latency_ps
 
     def write(self, address: int, data: bytes) -> int:
         """Write bytes; returns latency and tracks endurance per 4 KiB region."""

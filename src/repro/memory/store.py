@@ -37,6 +37,12 @@ class SparseMemory:
     def read(self, address: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``address``."""
         self._check_range(address, length)
+        page_index, page_offset = divmod(address, PAGE_SIZE)
+        if page_offset + length <= PAGE_SIZE:
+            page = self._pages.get(page_index)
+            if page is None:
+                return bytes([self.fill]) * length
+            return bytes(page[page_offset : page_offset + length])
         out = bytearray(length)
         offset = 0
         while offset < length:

@@ -120,6 +120,14 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "the bulk MEE path must commit and verify each tree node once per transfer",
     ),
     BenchPolicy(
+        "mee_random_access", "wall_s", "ceiling", 0.6,
+        "per-access MEE tree walks must stay cheap on the host",
+    ),
+    BenchPolicy(
+        "mee_random_access", "device_calls_per_access", "ceiling", 10.0,
+        "a per-access tree walk must read each level's metadata in one device call",
+    ),
+    BenchPolicy(
         "explain_fig2_delta", "speedup", "floor", 1.5,
         "explaining a cached pair must reuse the memoized run profiles",
     ),

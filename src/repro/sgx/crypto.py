@@ -19,6 +19,8 @@ from repro.errors import SecurityError
 
 MAC_LENGTH = 8  # bytes; SGX's MEE uses 56-bit MACs, we round to 8 bytes
 _DIGEST_SIZE = hashlib.sha256().digest_size
+_LENGTH_PREFIX = struct.Struct(">I")
+_KEYSTREAM_SEED = struct.Struct(">QQI")
 
 
 def derive_key(master: bytes, label: str) -> bytes:
@@ -40,14 +42,19 @@ class CtrCipher:
     def __init__(self, key: bytes) -> None:
         if len(key) < 16:
             raise SecurityError("cipher key too short")
-        self._key = key
+        # keyed once; each PRF call copies it (same digest as a fresh HMAC)
+        self._prf = hmac.new(key, digestmod=hashlib.sha256)
+
+    def _digest(self, message: bytes) -> bytes:
+        prf = self._prf.copy()
+        prf.update(message)
+        return prf.digest()
 
     def _keystream(self, address: int, version: int, length: int) -> bytes:
-        blocks = []
-        for i in range((length + _DIGEST_SIZE - 1) // _DIGEST_SIZE):
-            seed = struct.pack(">QQI", address, version, i)
-            blocks.append(hmac.new(self._key, seed, hashlib.sha256).digest())
-        return b"".join(blocks)[:length]
+        return b"".join([
+            self._digest(_KEYSTREAM_SEED.pack(address, version, i))
+            for i in range((length + _DIGEST_SIZE - 1) // _DIGEST_SIZE)
+        ])[:length]
 
     def encrypt(self, address: int, version: int, plaintext: bytes) -> bytes:
         """Encrypt ``plaintext`` bound to ``(address, version)``."""
@@ -66,14 +73,12 @@ class MacKey:
     def __init__(self, key: bytes) -> None:
         if len(key) < 16:
             raise SecurityError("MAC key too short")
-        self._key = key
+        self._mac = hmac.new(key, digestmod=hashlib.sha256)
 
     def tag(self, *parts: bytes) -> bytes:
         """MAC over the concatenation of ``parts`` (length-prefixed)."""
-        mac = hmac.new(self._key, b"", hashlib.sha256)
-        for part in parts:
-            mac.update(struct.pack(">I", len(part)))
-            mac.update(part)
+        mac = self._mac.copy()
+        mac.update(b"".join([_LENGTH_PREFIX.pack(len(part)) + part for part in parts]))
         return mac.digest()[:MAC_LENGTH]
 
     def verify(self, expected: bytes, *parts: bytes) -> bool:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import SecurityError
@@ -86,14 +87,20 @@ class TreeGeometry:
     def leaf_macs_offset(self) -> int:
         return self.versions_offset + self.data_blocks * COUNTER_BYTES
 
+    @cached_property
+    def _level_offsets(self) -> Tuple[int, ...]:
+        offsets = []
+        offset = self.leaf_macs_offset + self.data_blocks * MAC_BYTES
+        for count in self.level_counts:
+            offsets.append(offset)
+            offset += count * _RECORD_BYTES
+        return tuple(offsets)
+
     def level_offset(self, level: int) -> int:
         """Offset of level ``level`` (1-based) counter+MAC records."""
         if not 1 <= level <= self.levels:
             raise SecurityError(f"level {level} out of range 1..{self.levels}")
-        offset = self.leaf_macs_offset + self.data_blocks * MAC_BYTES
-        for lower in range(1, level):
-            offset += self.level_counts[lower - 1] * (COUNTER_BYTES + MAC_BYTES)
-        return offset
+        return self._level_offsets[level - 1]
 
     @property
     def total_size(self) -> int:
@@ -127,8 +134,12 @@ class TreeGeometry:
 class IntegrityTree:
     """Tree walks (verify) and updates (write) with access accounting.
 
-    ``device`` must expose ``read(addr, n) -> (bytes, latency_ps)`` and
+    ``device`` must expose ``read(addr, n) -> (bytes, latency_ps)``,
+    ``read_spans([(addr, n), ...]) -> ([bytes, ...], latency_ps)`` and
     ``write(addr, data) -> latency_ps`` (both DRAM and NVM devices do).
+    The per-block walks hand each run of consecutive reads to one
+    ``read_spans`` call; the device charges every span as its own read,
+    so the modeled accesses are those of one ``read`` per span.
     """
 
     def __init__(
@@ -154,6 +165,12 @@ class IntegrityTree:
         self.metadata_latency_ps += latency
         return data
 
+    def _read_spans(self, spans: List[Tuple[int, int]]) -> List[bytes]:
+        chunks, latency = self.device.read_spans(spans)
+        self.metadata_accesses += len(spans)
+        self.metadata_latency_ps += latency
+        return chunks
+
     def _write(self, address: int, data: bytes) -> None:
         latency = self.device.write(address, data)
         self.metadata_accesses += 1
@@ -170,27 +187,27 @@ class IntegrityTree:
         value = unpack_counter(self._read(self.geometry.version_address(block), COUNTER_BYTES))
         return value
 
-    def _children_of(self, level: int, index: int) -> bytes:
-        """Concatenated counters of the children of node (level, index)."""
+    def _children_reads(self, level: int, index: int) -> List[Tuple[int, int]]:
+        """The reads that fetch the counters of the children of node (level, index).
+
+        Level 1 reads its leaf versions as one range; higher levels read
+        each child's counter out of its counter+MAC record.
+        """
+        geometry = self.geometry
         first = index * ARITY
         if level == 1:
-            # children are leaf versions
-            last = min(first + ARITY, self.geometry.data_blocks)
-            raw = self._read(
-                self.geometry.version_address(first), (last - first) * COUNTER_BYTES
-            )
-        else:
-            last = min(first + ARITY, self.geometry.level_counts[level - 2])
-            parts = []
-            for child in range(first, last):
-                record = self._read(
-                    self.geometry.node_address(level - 1, child), COUNTER_BYTES
-                )
-                parts.append(record)
-            raw = b"".join(parts)
-        # pad missing children with zero counters so the MAC input width is fixed
-        missing = ARITY - (last - first)
-        return raw + pack_counter(0) * missing
+            last = min(first + ARITY, geometry.data_blocks)
+            return [(geometry.version_address(first), (last - first) * COUNTER_BYTES)]
+        last = min(first + ARITY, geometry.level_counts[level - 2])
+        base = geometry.node_address(level - 1, first)
+        return [
+            (base + child * _RECORD_BYTES, COUNTER_BYTES) for child in range(last - first)
+        ]
+
+    @staticmethod
+    def _children(chunks: List[bytes]) -> bytes:
+        """Concatenated child counters, zero-padded to the fixed MAC input width."""
+        return b"".join(chunks).ljust(ARITY * COUNTER_BYTES, b"\0")
 
     def _node_mac_input(self, level: int, index: int, counter: int, children: bytes) -> tuple:
         label = f"node:{level}:{index}".encode("ascii")
@@ -209,12 +226,15 @@ class IntegrityTree:
         version_cached = None
         if self.cache is not None:
             version_cached = self.cache.lookup((0, block))
-        version = (
-            version_cached
-            if version_cached is not None
-            else unpack_counter(self._read(geometry.version_address(block), COUNTER_BYTES))
-        )
-        stored_mac = self._read(geometry.leaf_mac_address(block), MAC_BYTES)
+        mac_span = (geometry.leaf_mac_address(block), MAC_BYTES)
+        if version_cached is not None:
+            version = version_cached
+            (stored_mac,) = self._read_spans([mac_span])
+        else:
+            raw_version, stored_mac = self._read_spans(
+                [(geometry.version_address(block), COUNTER_BYTES), mac_span]
+            )
+            version = unpack_counter(raw_version)
         address = geometry.block_address(block)
         if not self.mac_key.verify(
             stored_mac, b"data", pack_counter(address), pack_counter(version), ciphertext
@@ -232,19 +252,22 @@ class IntegrityTree:
         child_index = block
         for level in range(1, geometry.levels + 1):
             index = child_index // ARITY
+            node_address = geometry.node_address(level, index)
             cached = self.cache.lookup((level, index)) if self.cache is not None else None
+            # one device call per level: [counter on a miss,] children, MAC
+            spans = self._children_reads(level, index)
+            spans.append((node_address + COUNTER_BYTES, MAC_BYTES))
+            if cached is None:
+                spans.insert(0, (node_address, COUNTER_BYTES))
+            chunks = self._read_spans(spans)
+            stored_mac = chunks.pop()
             if cached is not None:
                 counter = cached
                 trusted = True
             else:
-                counter = unpack_counter(
-                    self._read(geometry.node_address(level, index), COUNTER_BYTES)
-                )
+                counter = unpack_counter(chunks.pop(0))
                 trusted = False
-            children = self._children_of(level, index)
-            stored_mac = self._read(
-                geometry.node_address(level, index) + COUNTER_BYTES, MAC_BYTES
-            )
+            children = self._children(chunks)
             if not self.mac_key.verify(
                 stored_mac, *self._node_mac_input(level, index, counter, children)
             ):
@@ -292,7 +315,7 @@ class IntegrityTree:
             node_address = geometry.node_address(level, index)
             counter = unpack_counter(self._read(node_address, COUNTER_BYTES)) + 1
             self._write(node_address, pack_counter(counter))
-            children = self._children_of(level, index)
+            children = self._children(self._read_spans(self._children_reads(level, index)))
             mac = self.mac_key.tag(*self._node_mac_input(level, index, counter, children))
             self._write(node_address + COUNTER_BYTES, mac)
             if self.cache is not None:
@@ -322,7 +345,7 @@ class IntegrityTree:
         return list(_RECORD.iter_unpack(raw))
 
     def _children_span(self, level: int, lo: int, hi: int) -> List[bytes]:
-        """:meth:`_children_of` for every node ``lo..hi`` at ``level``, one range read."""
+        """Child counters of every node ``lo..hi`` at ``level``, one range read."""
         first = lo * ARITY
         if level == 1:
             last = min((hi + 1) * ARITY, self.geometry.data_blocks)
@@ -338,7 +361,7 @@ class IntegrityTree:
                 records[start : start + COUNTER_BYTES]
                 for start in range(0, len(records), _RECORD_BYTES)
             )
-        # zero counters pad the last node of a level, as in _children_of
+        # zero counters pad the last node of a level, as in _children
         width = ARITY * COUNTER_BYTES
         raw = raw.ljust((hi - lo + 1) * width, b"\0")
         return [raw[start : start + width] for start in range(0, len(raw), width)]

@@ -1,0 +1,126 @@
+"""Differential property test: ``read_spans`` charges what per-span ``read`` does.
+
+Twin devices receive the same writes.  One reads a list of spans with a
+single ``read_spans`` call; the other reads the same spans one ``read``
+at a time, with DRAM's per-length cost memo cleared before every read,
+which is the unmemoized charge.  Words, summed latency, ``bytes_read``
+and ``access_energy_joules`` must agree bit for bit, also when a span
+crosses a page boundary, reads a page never written, follows a
+``set_frequency``, or faults (out of range, self-refresh, powered-off
+NVM) after earlier spans were charged.  Words are also checked against a
+plain shadow copy of everything written.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import MemoryFault
+from repro.memory.dram import DRAMDevice
+from repro.memory.nvm import PCMDevice
+from repro.memory.store import PAGE_SIZE
+
+CAPACITY = 4 * PAGE_SIZE
+
+
+def make_device(kind):
+    if kind == "dram":
+        return DRAMDevice("dram", capacity_bytes=CAPACITY)
+    return PCMDevice("pcm", capacity_bytes=CAPACITY)
+
+
+def per_span_reads(device, spans):
+    """One ``read`` per span, with no cost memo carried between them."""
+    chunks, latency = [], 0
+    for address, length in spans:
+        if isinstance(device, DRAMDevice):
+            device._costs.clear()
+        data, span_latency = device.read(address, length)
+        chunks.append(data)
+        latency += span_latency
+    return chunks, latency
+
+
+def outcome(read, device, spans):
+    """What a read returns, or the fault it raised, plus the charged counters."""
+    try:
+        result = read(device, spans)
+    except MemoryFault as fault:
+        result = ("fault", str(fault))
+    return result, device.bytes_read, device.access_energy_joules.hex()
+
+
+def span_read(device, spans):
+    return device.read_spans(spans)
+
+
+spans_strategy = st.lists(
+    st.tuples(
+        # a few addresses land past the end, so out-of-range faults occur
+        st.integers(min_value=0, max_value=CAPACITY + 64),
+        st.integers(min_value=0, max_value=700),
+    ),
+    min_size=0,
+    max_size=8,
+)
+
+
+@given(
+    kind=st.sampled_from(["dram", "pcm"]),
+    writes=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=CAPACITY - 1),
+            st.binary(min_size=1, max_size=300),
+        ),
+        max_size=4,
+    ),
+    warm=spans_strategy,
+    spans=spans_strategy,
+    retune_hz=st.sampled_from([None, 0.8e9, 1.333e9, 2.133e9]),
+    fault=st.sampled_from([None, "sleep"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_read_spans_matches_per_span_reads(kind, writes, warm, spans, retune_hz, fault):
+    memo, reference = make_device(kind), make_device(kind)
+    shadow = bytearray(CAPACITY)
+    for address, data in writes:
+        data = data[: CAPACITY - address]
+        memo.write(address, data)
+        reference.write(address, data)
+        shadow[address : address + len(data)] = data
+    # fill the memo at the current frequency before any retune
+    assert outcome(span_read, memo, warm) == outcome(per_span_reads, reference, warm)
+    if retune_hz is not None and kind == "dram":
+        memo.set_frequency(retune_hz)
+        reference.set_frequency(retune_hz)
+    if fault == "sleep":
+        for device in (memo, reference):
+            if kind == "dram":
+                device.enter_self_refresh()
+            else:
+                device.power_off()
+    got = outcome(span_read, memo, spans)
+    assert got == outcome(per_span_reads, reference, spans)
+    result = got[0]
+    if result[0] != "fault":
+        chunks, _latency = result
+        assert chunks == [bytes(shadow[a : a + n]) for a, n in spans]
+
+
+def test_empty_span_list_touches_nothing_even_asleep():
+    dram = make_device("dram")
+    dram.enter_self_refresh()
+    assert dram.read_spans([]) == ([], 0)
+    pcm = make_device("pcm")
+    pcm.power_off()
+    assert pcm.read_spans([]) == ([], 0)
+    assert dram.bytes_read == pcm.bytes_read == 0
+
+
+def test_fault_leaves_earlier_spans_charged():
+    dram = make_device("dram")
+    try:
+        dram.read_spans([(0, 64), (CAPACITY - 8, 16)])
+    except MemoryFault:
+        pass
+    else:
+        raise AssertionError("span past the end was read")
+    assert dram.bytes_read == 64

@@ -7,6 +7,7 @@ from repro.errors import SecurityError
 from repro.memory.dram import DRAMDevice
 from repro.memory.nvm import PCMDevice
 from repro.sgx.cache import MEECache
+from repro.sgx.crypto import pack_counter
 from repro.sgx.integrity_tree import TreeGeometry
 from repro.sgx.mee import MemoryEncryptionEngine
 
@@ -111,6 +112,30 @@ class TestLifecycle:
         with pytest.raises(SecurityError):
             mee.read(0, 64)
         assert mee.stats.integrity_violations == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=pytest.fail.Exception,
+        reason="known defect: the write paths trust the unverified DRAM version",
+    )
+    @pytest.mark.parametrize("method", ["write", "bulk_write"])
+    def test_write_after_version_rollback_is_refused(self, method):
+        """A rolled-back DRAM version must not be reused on a cold-cache write.
+
+        ``write`` takes the block's next version from ``read_version``,
+        which reads DRAM without walking the tree (``bulk_write`` reads
+        the stored versions the same way).  Rolled back from 2 to 1, the
+        write seals the new data under ``(address, version=2)`` again,
+        the keystream the old ciphertext used, and the tree update
+        re-MACs the path so the next read accepts it.
+        """
+        device, mee = make_mee()
+        mee.write(0, bytes(range(64)))
+        mee.write(0, bytes(range(64, 128)))  # version 2
+        device._store.write(mee.geometry.version_address(0), pack_counter(1))
+        mee.power_on(mee.power_off())  # cold cache: nothing vouches for version 2
+        with pytest.raises(SecurityError):
+            getattr(mee, method)(0, bytes(range(128, 192)))
 
     def test_malformed_state_rejected(self):
         _device, mee = make_mee()

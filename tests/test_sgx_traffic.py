@@ -1,0 +1,119 @@
+"""Traffic pin: the per-access MEE path charges the same DRAM accesses.
+
+A :class:`RecordingDevice` logs every charged access of a seeded
+read/write/read-modify-write mix as ``(kind, address, length)``.  The
+digest of that log, of the latencies the engine returns and of the
+device's accumulated access energy (as ``float.hex``) is pinned, so a
+host-side speed-up of the tree walks cannot move a single modeled
+access, latency or joule.  The ``mee_cache_ablation`` rows are pinned
+the same way.
+"""
+
+import hashlib
+import json
+import random
+
+from repro.analysis.ablations import MEECacheRow, mee_cache_ablation
+from repro.core.techniques import TechniqueSet
+from repro.memory.dram import DRAMDevice
+from repro.memory.nvm import PCMDevice
+from repro.sgx.cache import MEECache
+from repro.sgx.integrity_tree import BLOCK_SIZE
+from repro.sgx.mee import MemoryEncryptionEngine
+from repro.system.skylake import SkylakePlatform
+
+MASTER = b"fuse-master-key-0123456789abcdef"
+
+#: ``mee_cache_ablation()`` with its defaults, recorded before the
+#: per-access walks gathered their reads; compared with ``==``, so
+#: every float must match to the last bit.
+ABLATION_ROWS = [
+    MEECacheRow(cache_nodes=1, hit_rate=0.0, metadata_accesses_per_read=29.0),
+    MEECacheRow(
+        cache_nodes=8, hit_rate=0.18546511627906978, metadata_accesses_per_read=24.6425
+    ),
+    MEECacheRow(
+        cache_nodes=64, hit_rate=0.3250825082508251, metadata_accesses_per_read=14.44
+    ),
+    MEECacheRow(
+        cache_nodes=512, hit_rate=0.4570446735395189, metadata_accesses_per_read=6.9875
+    ),
+    MEECacheRow(
+        cache_nodes=2048, hit_rate=0.4586206896551724, metadata_accesses_per_read=6.9475
+    ),
+]
+
+
+class RecordingDevice:
+    """Delegating device wrapper that logs every charged access."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.log = []
+
+    def read(self, address, length):
+        self.log.append(("read", address, length))
+        return self.inner.read(address, length)
+
+    def read_spans(self, spans):
+        spans = list(spans)
+        self.log.extend(("read", address, length) for address, length in spans)
+        return self.inner.read_spans(spans)
+
+    def write(self, address, data):
+        self.log.append(("write", address, len(data)))
+        return self.inner.write(address, data)
+
+
+def traffic_digest(inner, accesses=600, seed=2020):
+    """Digest of a seeded 70/15/15 read / write / 16-byte RMW mix.
+
+    Runs on the platform's protected-region geometry (200 KB context)
+    behind a 64x8 metadata cache, with one MEE power cycle (cold cache)
+    halfway through.  Reads are checked against a shadow copy.
+    """
+    platform = SkylakePlatform(techniques=TechniqueSet.ctx_sgx_dram_only())
+    geometry = platform.mee.geometry
+    device = RecordingDevice(inner)
+    engine = MemoryEncryptionEngine(device, geometry, MASTER, MEECache(64, 8))
+    engine.initialize_region()
+    shadow = bytearray(engine.data_capacity)
+    rng = random.Random(seed)
+    latencies = []
+    for step in range(accesses):
+        if step == accesses // 2:
+            engine.power_on(engine.power_off())
+        block = rng.randrange(geometry.data_blocks)
+        kind = rng.choices(("read", "write", "partial"), weights=(70, 15, 15))[0]
+        if kind == "read":
+            offset = block * BLOCK_SIZE
+            data, latency = engine.read(offset, BLOCK_SIZE)
+            assert data == shadow[offset : offset + BLOCK_SIZE]
+        else:
+            length = 16 if kind == "partial" else BLOCK_SIZE
+            offset = block * BLOCK_SIZE + (16 * rng.randrange(4) if kind == "partial" else 0)
+            data = rng.randbytes(length)
+            latency = engine.write(offset, data)
+            shadow[offset : offset + length] = data
+        latencies.append(latency)
+    payload = {
+        "log": device.log,
+        "latencies": latencies,
+        "energy": inner.access_energy_joules.hex(),
+    }
+    text = json.dumps(payload, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_dram_traffic_is_pinned():
+    digest = traffic_digest(DRAMDevice("dram"))
+    assert digest == "ea3bc98922e6d1d1736109a40614ee1405945d157a98769139cf50c1db41ab7b"
+
+
+def test_pcm_traffic_is_pinned():
+    digest = traffic_digest(PCMDevice())
+    assert digest == "56a7ad401cd003af6248d7218d29fbdefc71a9a4fbe28e6aead3aaf207265b2d"
+
+
+def test_mee_cache_ablation_rows_are_pinned():
+    assert mee_cache_ablation() == ABLATION_ROWS
