@@ -6,12 +6,6 @@ a :class:`concurrent.futures.ProcessPoolExecutor` — the evaluation style
 of Fig. 6(b)/(c), the sensitivity grids, and the residency sweeps.  The
 parallel mode returns results in parameter order, identical to the
 serial path.
-
-With a telemetry stream installed (:mod:`repro.obs.stream`) the sweep
-also emits live progress: the parent folds every completed point into
-bounded histograms and a ``sweep`` heartbeat, and parallel workers
-mirror their own bounded aggregates to per-worker heartbeat files that
-the parent merges after the pool drains.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ from repro.effects import declares_effects
 from repro.errors import AnalysisError
 from repro.obs.hook import active
 from repro.obs.runlog import host_wall_s
-from repro.obs.stream import record_worker_point
 
 Value = TypeVar("Value")
 
@@ -36,35 +29,22 @@ ZERO_REFERENCE_TOLERANCE = 1e-12
 class _TimedCall:
     """Picklable wrapper timing one sweep point inside a worker process.
 
-    Used while a flight recorder or a telemetry stream is installed: the
-    wrapper rides the same pickle channel as ``experiment`` itself, and
-    each worker reports ``(result, wall_s, pid)`` so the parent can
-    attribute per-point host time and worker fan-out to the run record.
-    With ``stream_dir`` set, each worker also folds the point into its
-    own bounded histograms and atomically replaces its heartbeat file
-    (:func:`repro.obs.stream.record_worker_point`).
+    Used while a flight recorder is installed: the wrapper rides the same
+    pickle channel as ``experiment`` itself, and each worker reports
+    ``(result, wall_s, pid)`` so the parent can attribute per-point host
+    time and worker fan-out to the run record.
     """
 
-    __slots__ = ("experiment", "stream_dir", "points_total")
+    __slots__ = ("experiment",)
 
-    def __init__(
-        self,
-        experiment: Callable[[Value], float],
-        stream_dir: Optional[str] = None,
-        points_total: int = 0,
-    ) -> None:
+    def __init__(self, experiment: Callable[[Value], float]) -> None:
         self.experiment = experiment
-        self.stream_dir = stream_dir
-        self.points_total = points_total
 
     @declares_effects("time", "identity")  # per-point wall time + worker pid
     def __call__(self, value: Value) -> Tuple[float, float, int]:
         start_s = host_wall_s()
         result = self.experiment(value)
-        wall_s = host_wall_s() - start_s
-        if self.stream_dir is not None:
-            record_worker_point(self.stream_dir, result, wall_s, self.points_total)
-        return result, wall_s, os.getpid()
+        return result, host_wall_s() - start_s, os.getpid()
 
 
 @declares_effects("time", "env")  # fan-out timing + cpu_count worker sizing
@@ -94,20 +74,10 @@ def sweep(
     fan-out shape — point count, parallelism, backend, per-point wall
     times, and the worker process ids that served them — to the
     enclosing run record.
-
-    When a telemetry stream is installed
-    (``obs.observe(stream=...)``) the sweep emits live
-    progress: bounded ``sweep.point_result``/``sweep.point_wall_s``
-    histograms plus a ``sweep`` heartbeat per completed point on the
-    parent side, per-worker heartbeat files on the worker side (with the
-    stream's ``heartbeat_dir`` set), merged back after the pool drains.
     """
     values = list(parameter_values)
-    observation = active()
-    recorder = observation.recorder
-    stream = observation.stream
-    observed = recorder is not None or stream is not None
-    start_s = host_wall_s() if observed else 0.0
+    recorder = active().recorder
+    start_s = host_wall_s() if recorder is not None else 0.0
     serial_fallback = (
         parallel
         and len(values) > 1
@@ -116,58 +86,37 @@ def sweep(
     )
     if not parallel or len(values) <= 1 or serial_fallback:
         backend = "serial-fallback" if serial_fallback else "serial"
-        if not observed:
+        if recorder is None:
             return [(value, experiment(value)) for value in values]
         timed = _TimedCall(experiment)
-        outcomes = []
-        for done, value in enumerate(values, start=1):
-            outcome = timed(value)
-            outcomes.append(outcome)
-            if stream is not None:
-                stream.sweep_point(done, len(values), outcome[0], outcome[1])
-        if recorder is not None:
-            recorder.sweep(
-                points=len(values),
-                parallel=False,
-                workers=None,
-                wall_s=host_wall_s() - start_s,
-                point_walls_s=[wall_s for _, wall_s, _ in outcomes],
-                worker_pids=[pid for _, _, pid in outcomes],
-                backend=backend,
-            )
+        outcomes = [timed(value) for value in values]
+        recorder.sweep(
+            points=len(values),
+            parallel=False,
+            workers=None,
+            wall_s=host_wall_s() - start_s,
+            point_walls_s=[wall_s for _, wall_s, _ in outcomes],
+            worker_pids=[pid for _, _, pid in outcomes],
+            backend=backend,
+        )
         return [(value, result) for value, (result, _, _) in zip(values, outcomes)]
     from concurrent.futures import ProcessPoolExecutor
 
     workers = max_workers if max_workers is not None else min(len(values), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        if not observed:
+        if recorder is None:
             results = list(pool.map(experiment, values))
             return list(zip(values, results))
-        stream_dir = (
-            str(stream.heartbeat_dir)
-            if stream is not None and stream.heartbeat_dir is not None
-            else None
-        )
-        timed = _TimedCall(experiment, stream_dir=stream_dir, points_total=len(values))
-        outcomes = []
-        # pool.map yields in submission order as results complete, so the
-        # parent-side heartbeat advances while the pool is still draining
-        for done, outcome in enumerate(pool.map(timed, values), start=1):
-            outcomes.append(outcome)
-            if stream is not None:
-                stream.sweep_point(done, len(values), outcome[0], outcome[1])
-    if stream is not None:
-        stream.absorb_worker_heartbeats()
-    if recorder is not None:
-        recorder.sweep(
-            points=len(values),
-            parallel=True,
-            workers=workers,
-            wall_s=host_wall_s() - start_s,
-            point_walls_s=[wall_s for _, wall_s, _ in outcomes],
-            worker_pids=[pid for _, _, pid in outcomes],
-            backend="parallel",
-        )
+        outcomes = list(pool.map(_TimedCall(experiment), values))
+    recorder.sweep(
+        points=len(values),
+        parallel=True,
+        workers=workers,
+        wall_s=host_wall_s() - start_s,
+        point_walls_s=[wall_s for _, wall_s, _ in outcomes],
+        worker_pids=[pid for _, _, pid in outcomes],
+        backend="parallel",
+    )
     return [(value, result) for value, (result, _, _) in zip(values, outcomes)]
 
 

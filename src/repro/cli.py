@@ -19,9 +19,6 @@ Examples::
     python -m repro fig6a --cache  # memoized runs + hit/miss stats
     python -m repro fig2 --profile # host-phase wall time + peak allocations
     python -m repro report --json  # regression watchdog over the run history
-    python -m repro metrics --openmetrics     # OpenMetrics text exposition
-    python -m repro fig6b --parallel --heartbeat  # live sweep telemetry
-    python -m repro dash           # static fleet dashboard (dash.html)
 
 Every experiment run is recorded by the flight recorder to
 ``.repro/runs/runs.jsonl`` (opt out with ``--no-runlog``); ``report``
@@ -32,6 +29,7 @@ replays that history against the paper's golden values and the
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Dict, List, Optional
@@ -312,86 +310,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Run one observed experiment and expose its live telemetry.
-
-    ``--openmetrics`` renders the OpenMetrics text exposition (tracer
-    counters/histograms + streaming aggregates + heartbeats); without it
-    the human-readable span/metric digest prints instead.  ``--out``
-    writes the exposition to a file; ``--heartbeat [DIR]`` mirrors
-    heartbeats to per-source JSON files for concurrent dashboard reads.
-    """
-    from repro import obs
-    from repro.errors import ConfigError
-    from repro.obs.openmetrics import render_openmetrics
-    from repro.obs.stream import TelemetryStream
-
-    target = args.target or "fig2"
-    stream = TelemetryStream(heartbeat_dir=getattr(args, "heartbeat", None))
-    try:
-        with obs.observe(stream=stream):
-            session = obs.run_traced(target, cycles=args.cycles)
-    except ConfigError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.openmetrics:
-        text = render_openmetrics(session.tracer.metrics, stream)
-        if args.out:
-            from pathlib import Path
-
-            Path(args.out).write_text(text, encoding="utf-8")
-            print(f"OpenMetrics exposition written to {args.out}")
-        else:
-            print(text, end="")
-    else:
-        print(obs.render_summary(session.tracer, ledger=session.ledger,
-                                 platform=session.platform))
-    return 0
-
-
-def cmd_dash(args: argparse.Namespace) -> int:
-    """Build the static fleet dashboard: ``python -m repro dash``.
-
-    Joins the flight-recorder history, BENCH_perf.json, live heartbeat
-    files (``--heartbeat [DIR]``), and — unless ``--static`` — the
-    per-cause energy rollup of a fresh observed fig2 run into one
-    self-contained HTML page (default ``dash.html``; override with
-    ``--out``).
-    """
-    from repro.errors import ConfigError, MeasurementError
-    from repro.obs.dash import build_dashboard, write_dashboard
-    from repro.regress.report import DEFAULT_BENCH_PATH
-
-    causal = None
-    if not args.static:
-        from repro import obs
-        from repro.obs.causal import build_causal_report
-
-        try:
-            session = obs.run_traced(args.target or "fig2", cycles=args.cycles)
-            causal = build_causal_report(
-                session.tracer, session.platform
-            ).as_dict()
-        except ConfigError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        except MeasurementError as error:
-            # the causal section is advisory; the joined stores still render
-            print(f"warning: causal section skipped: {error}", file=sys.stderr)
-    data = build_dashboard(
-        bench_path=args.bench or DEFAULT_BENCH_PATH,
-        heartbeat_dir=getattr(args, "heartbeat", None),
-        causal=causal,
-    )
-    path = write_dashboard(args.out or "dash.html", data)
-    print(
-        f"dashboard written to {path} - {len(data['records'])} run record(s), "
-        f"{len(data['heartbeats'])} heartbeat(s), "
-        f"{len(data['anomalies'])} anomaly advisories"
-    )
-    return 0
-
-
 def cmd_explain(args: argparse.Namespace) -> int:
     """Explain the delta between two runs: ``python -m repro explain``.
 
@@ -523,12 +441,6 @@ def _default_lint_root() -> str:
     from repro.lint.source import default_source_root
 
     return str(default_source_root())
-
-
-def _default_heartbeat_dir() -> str:
-    from repro.obs.stream import DEFAULT_HEARTBEAT_DIR
-
-    return DEFAULT_HEARTBEAT_DIR
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -691,6 +603,28 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], None]] = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: a positive integer (anything else exits 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a positive finite number (anything else exits 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -698,14 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(COMMANDS) + ["all", "check", "dash", "explain", "lint",
-                                    "metrics", "report", "trace"],
+        choices=sorted(COMMANDS) + ["all", "check", "explain", "lint",
+                                    "report", "trace"],
         help="which paper experiment to run ('lint' for static analysis, "
              "'check' for the exhaustive model checker, 'trace' for an "
              "observed run with Perfetto export, 'explain' for the "
              "differential drift explainer, 'report' for the "
-             "golden-number regression watchdog, 'metrics' for the "
-             "OpenMetrics exposition, 'dash' for the fleet dashboard)",
+             "golden-number regression watchdog)",
     )
     parser.add_argument(
         "target", nargs="?", default=None,
@@ -718,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="explain: second configuration to diff the first against",
     )
     parser.add_argument(
-        "--cycles", type=int, default=2,
+        "--cycles", type=_positive_int, default=2,
         help="measured connected-standby cycles per configuration (default 2)",
     )
     perf_group = parser.add_argument_group("performance options")
@@ -732,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force event-by-event simulation (default)",
     )
     perf_group.add_argument(
-        "--horizon", type=float, default=None, metavar="DAYS",
+        "--horizon", type=_positive_float, default=None, metavar="DAYS",
         help="simulated horizon in days; overrides --cycles via the default "
              "workload's cycle period (use with --macro for week scales)",
     )
@@ -766,23 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-runlog", action="store_true",
         help="do not record this run to the .repro/runs flight recorder",
     )
-    obs_group.add_argument(
-        "--heartbeat", nargs="?", metavar="DIR", default=None,
-        const=_default_heartbeat_dir(),
-        help="stream live telemetry (bounded histograms + per-source "
-             "progress heartbeats) and mirror heartbeats to DIR "
-             "(default .repro/heartbeats)",
-    )
-    obs_group.add_argument(
-        "--openmetrics", action="store_true",
-        help="metrics: render the OpenMetrics text exposition instead of "
-             "the human-readable digest",
-    )
-    obs_group.add_argument(
-        "--static", action="store_true",
-        help="dash: skip the fresh observed run (no per-cause energy "
-             "section; joins the stores only)",
-    )
     perf_group.add_argument(
         "--parallel", action="store_true",
         help="fig6b/fig6c: fan sweep points out over worker processes",
@@ -792,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fig6a: also compute the residency break-even points (slower)",
     )
     parser.add_argument(
-        "--battery-wh", type=float, default=BATTERY_WH["surface-class"],
+        "--battery-wh", type=_positive_float, default=BATTERY_WH["surface-class"],
         help="battery capacity for the battery command (default 38 Wh)",
     )
     lint_group = parser.add_argument_group("lint options")
@@ -886,10 +802,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_trace(args)
     if args.experiment == "explain":
         return cmd_explain(args)
-    if args.experiment == "metrics":
-        return cmd_metrics(args)
-    if args.experiment == "dash":
-        return cmd_dash(args)
 
     args.cache_obj = None
     if args.cache:
@@ -900,17 +812,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro import obs
     from repro.obs.profile import PhaseProfiler, host_phase
     from repro.obs.runlog import RunRecorder
-    from repro.obs.stream import TelemetryStream
 
     tracer = obs.Tracer() if args.trace or args.metrics else None
     profiler = PhaseProfiler(track_allocations=True) if args.profile else None
-    stream = (
-        TelemetryStream(heartbeat_dir=args.heartbeat)
-        if args.heartbeat is not None
-        else None
-    )
     recorder = None if args.no_runlog else RunRecorder()
-    with obs.observe(tracer=tracer, profiler=profiler, recorder=recorder, stream=stream):
+    with obs.observe(tracer=tracer, profiler=profiler, recorder=recorder):
         if args.experiment == "all":
             for name in ["table1", "fig1b", "fig2", "fig6a", "fig6b", "fig6c",
                          "fig6d", "latency", "calibration", "ablations"]:
@@ -931,12 +837,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         print()
         print(render_profile(profiler))
-    if stream is not None and stream.heartbeats:
-        print()
-        sources = ", ".join(sorted(stream.heartbeats))
-        print(f"heartbeats: {sources} -> {stream.heartbeat_dir} "
-              f"({len(stream.histograms)} live histogram(s); "
-              f"watch with `python -m repro dash`)")
     if args.cache_obj is not None:
         stats = args.cache_obj.stats
         print()

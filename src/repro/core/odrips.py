@@ -138,12 +138,8 @@ class ODRIPSController:
         (``obs.observe(recorder=...)``) the measurement's host
         wall time and cache-hit status are contributed to the run record.
         """
-        observation = active()
-        recorder = observation.recorder
-        stream = observation.stream
-        start_s = (
-            host_wall_s() if (recorder is not None or stream is not None) else 0.0
-        )
+        recorder = active().recorder
+        start_s = host_wall_s() if recorder is not None else 0.0
         label = self.techniques.label()
         arguments = {
             "cycles": cycles,
@@ -155,22 +151,6 @@ class ODRIPSController:
             "period_s": period_s,
             "macro": macro,
         }
-        if stream is not None:
-            # exemplar labels for the OpenMetrics exposition: which
-            # technique set and exact configuration produced the samples
-            from repro.perf.fingerprint import fingerprint  # import cycle guard
-
-            stream.set_label("experiment", label)
-            stream.set_label(
-                "fingerprint",
-                fingerprint(
-                    "ODRIPSController.measure",
-                    self.config,
-                    self.techniques,
-                    self.workload,
-                    arguments,
-                ),
-            )
         cached = False
         if self.cache is not None:
             key = self.cache.key(
@@ -193,11 +173,6 @@ class ODRIPSController:
                 cached,
                 macro=result.macro_provenance(),
             )
-        if stream is not None:
-            stream.histogram("measure.average_power_w").observe(
-                result.average_power_w
-            )
-            stream.histogram("measure.wall_s").observe(host_wall_s() - start_s)
         return result
 
     def measure_raw(

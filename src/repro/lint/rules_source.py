@@ -18,11 +18,6 @@ and call site respects them.  These rules encode the discipline:
   ``_watts``.
 * ``S406 ps-annotation`` — ``*_ps`` parameters or returns annotated
   ``float`` (and ``*_watts`` annotated ``int``).
-* ``S408 exact-histogram-in-hot-path`` — ``.histogram(...)`` calls
-  without ``bounded=True`` inside the per-cycle hot paths (flows, macro
-  engine, sweep, standby runner): the exact
-  :class:`~repro.obs.metrics.Histogram` keeps every sample, which is
-  unbounded memory over week-scale macro horizons.
 
 Every rule is a pure function over a parsed module yielding
 :class:`~repro.lint.diagnostics.Diagnostic` values.
@@ -342,54 +337,6 @@ def _check_ps_annotation(rule: SourceRule, tree: ast.Module, filename: str) -> I
             )
 
 
-# --- S408: exact histograms in per-cycle hot paths ----------------------------
-
-#: Modules whose instrument calls run once per simulated cycle (or sweep
-#: point): unbounded exact histograms there grow with the horizon.
-_HOT_PATH_SUFFIXES = (
-    "system/flows.py",
-    "sim/macro.py",
-    "analysis/sweep.py",
-    "workloads/standby.py",
-)
-
-
-def _in_hot_path(filename: str) -> bool:
-    normalized = filename.replace("\\", "/")
-    return normalized.endswith(_HOT_PATH_SUFFIXES)
-
-
-def _check_exact_histogram_hot_path(
-    rule: SourceRule, tree: ast.Module, filename: str
-) -> Iterator[Diagnostic]:
-    if not _in_hot_path(filename):
-        return
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if not (isinstance(node.func, ast.Attribute) and node.func.attr == "histogram"):
-            continue
-        # TelemetryStream.histogram() is always bounded — exempt receivers
-        # named after the stream seam (the convention the hot paths use)
-        receiver = _terminal_name(node.func.value)
-        if receiver in ("stream", "_stream"):
-            continue
-        bounded = next(
-            (kw.value for kw in node.keywords if kw.arg == "bounded"), None
-        )
-        if isinstance(bounded, ast.Constant) and bounded.value is True:
-            continue
-        yield rule.diagnostic(
-            "histogram created without bounded=True in a per-cycle hot path; "
-            "exact histograms keep every sample (unbounded over week-scale "
-            "macro horizons)",
-            filename,
-            node.lineno,
-            hint="pass bounded=True (BoundedHistogram: log buckets, "
-            "exact count/sum/min/max)",
-        )
-
-
 def _rule(
     rule_id: str,
     name: str,
@@ -416,7 +363,4 @@ SOURCE_RULES: Tuple[SourceRule, ...] = (
           _check_ps_annotation),
     # S407 (unknown lint pragma) lives in repro.lint.source next to the
     # pragma scanner it checks.
-    _rule("S408", "exact-histogram-in-hot-path",
-          "exact (unbounded) histogram created in a per-cycle hot path",
-          _check_exact_histogram_hot_path, severity=Severity.WARNING),
 )

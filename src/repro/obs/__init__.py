@@ -7,15 +7,11 @@ histograms, an :class:`EnergyLedger` attributing per-domain energy to
 flow steps, and exporters for Chrome trace JSON (Perfetto), JSONL, and
 terminal summaries.  Two host-side companions watch the repo itself: the
 :mod:`~repro.obs.runlog` flight recorder (one JSON record per experiment
-run under ``.repro/runs/``, consumed by ``python -m repro report``), the
-:mod:`~repro.obs.profile` phase profiler (host wall time and peak
-allocations per build/simulate/measure/analyze phase), and the
-:mod:`~repro.obs.stream` live-telemetry pipeline (bounded histograms,
-heartbeats, and rolling windows feeding the
-:mod:`~repro.obs.openmetrics` exposition and the
-:mod:`~repro.obs.dash` fleet dashboard).
+run under ``.repro/runs/``, consumed by ``python -m repro report``) and
+the :mod:`~repro.obs.profile` phase profiler (host wall time and peak
+allocations per build/simulate/measure/analyze phase).
 
-All four sinks are installed through one hook (:mod:`repro.obs.hook`):
+All three sinks are installed through one hook (:mod:`repro.obs.hook`):
 :func:`observe` installs any of them for a ``with`` block, inheriting
 the rest from the enclosing block, and :func:`active` is what the
 instrumented seams read.
@@ -48,7 +44,6 @@ from repro.obs.metrics import (
     BoundedHistogram,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.tracer import (
@@ -94,19 +89,6 @@ _LAZY = {
     "RunLog": "repro.obs.runlog",
     "RunRecorder": "repro.obs.runlog",
     "git_revision": "repro.obs.runlog",
-    "RollingWindow": "repro.obs.stream",
-    "TelemetryStream": "repro.obs.stream",
-    "merge_worker_heartbeats": "repro.obs.stream",
-    "read_heartbeat_dir": "repro.obs.stream",
-    "record_worker_point": "repro.obs.stream",
-    "openmetrics_lines": "repro.obs.openmetrics",
-    "render_openmetrics": "repro.obs.openmetrics",
-    "validate_openmetrics": "repro.obs.openmetrics",
-    "write_openmetrics": "repro.obs.openmetrics",
-    "build_dashboard": "repro.obs.dash",
-    "detect_anomalies": "repro.obs.dash",
-    "render_dashboard": "repro.obs.dash",
-    "write_dashboard": "repro.obs.dash",
 }
 
 __all__ = [
@@ -119,7 +101,6 @@ __all__ = [
     "FLOW_STEP_TRACK",
     "FLOW_TRACK",
     "Gauge",
-    "Histogram",
     "Instant",
     "KERNEL_TRACK",
     "LedgerCell",
@@ -129,12 +110,10 @@ __all__ = [
     "Observation",
     "PMU_TRACK",
     "PhaseProfiler",
-    "RollingWindow",
     "RunLog",
     "RunProfile",
     "RunRecorder",
     "Span",
-    "TelemetryStream",
     "TRACE_CONFIGS",
     "TraceSession",
     "Tracer",
@@ -142,9 +121,7 @@ __all__ = [
     "active",
     "attribution_cells",
     "build_causal_report",
-    "build_dashboard",
     "chrome_trace",
-    "detect_anomalies",
     "diff_profiles",
     "explain_history",
     "explain_simulate",
@@ -152,25 +129,16 @@ __all__ = [
     "git_revision",
     "host_phase",
     "jsonl_lines",
-    "merge_worker_heartbeats",
     "observe",
-    "openmetrics_lines",
     "profile_config",
-    "read_heartbeat_dir",
-    "record_worker_point",
-    "render_dashboard",
     "render_explain",
-    "render_openmetrics",
     "render_profile",
     "render_summary",
     "run_traced",
     "validate_explain_payload",
-    "validate_openmetrics",
     "wake_cause",
     "write_chrome_trace",
-    "write_dashboard",
     "write_jsonl",
-    "write_openmetrics",
 ]
 
 

@@ -97,6 +97,10 @@ def parse_perturbation(spec: str) -> Tuple[str, float]:
         factor = float(factor_text)
     except ValueError as error:
         raise ConfigError(f"bad perturbation factor {factor_text!r}") from error
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise ConfigError(
+            f"bad perturbation factor {factor_text!r}: must be finite and positive"
+        )
     if name not in PERTURBATIONS:
         known = ", ".join(sorted(PERTURBATIONS))
         raise ConfigError(f"unknown perturbation {name!r}; pick one of: {known}")

@@ -1,10 +1,9 @@
 """The one observation hook: which sinks watch the current run.
 
-A run is watched through up to four sinks at once — the simulated-time
+A run is watched through up to three sinks at once — the simulated-time
 :class:`~repro.obs.tracer.Tracer`, the host-phase
-:class:`~repro.obs.profile.PhaseProfiler`, the flight-recorder
-:class:`~repro.obs.runlog.RunRecorder` and the live
-:class:`~repro.obs.stream.TelemetryStream`.  :func:`observe` installs any
+:class:`~repro.obs.profile.PhaseProfiler` and the flight-recorder
+:class:`~repro.obs.runlog.RunRecorder`.  :func:`observe` installs any
 of them for the duration of a ``with`` block; :func:`active` is what the
 instrumented seams read::
 
@@ -21,9 +20,8 @@ returns a shared empty :class:`Observation`, so a seam pays one call and
 one ``None`` test per sink it reads.
 
 Each seam reads the hook at a fixed point: a platform captures the
-tracer when it is constructed, the standby runner captures the stream
-once per run, and ``ODRIPSController.measure`` reads the recorder and
-the stream once per call.  Observation never perturbs simulated time and
+tracer when it is constructed, and ``ODRIPSController.measure`` reads
+the recorder once per call.  Observation never perturbs simulated time and
 is excluded from the :mod:`repro.perf` configuration fingerprints.
 """
 
@@ -38,7 +36,6 @@ from repro.effects import declares_effects
 if TYPE_CHECKING:
     from repro.obs.profile import PhaseProfiler
     from repro.obs.runlog import RunRecorder
-    from repro.obs.stream import TelemetryStream
     from repro.obs.tracer import Tracer
 
 
@@ -49,7 +46,6 @@ class Observation:
     tracer: Optional[Tracer] = None
     profiler: Optional[PhaseProfiler] = None
     recorder: Optional[RunRecorder] = None
-    stream: Optional[TelemetryStream] = None
 
 
 _current = Observation()
@@ -67,7 +63,6 @@ def observe(
     tracer: Optional[Tracer] = None,
     profiler: Optional[PhaseProfiler] = None,
     recorder: Optional[RunRecorder] = None,
-    stream: Optional[TelemetryStream] = None,
 ) -> Iterator[Observation]:
     """Install the given sinks for a block, inheriting the rest.
 
@@ -82,7 +77,6 @@ def observe(
         tracer=tracer if tracer is not None else previous.tracer,
         profiler=profiler if profiler is not None else previous.profiler,
         recorder=recorder if recorder is not None else previous.recorder,
-        stream=stream if stream is not None else previous.stream,
     )
     try:
         yield _current

@@ -139,23 +139,6 @@ class EnergyLedger:
                 )
         return ledger
 
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-able totals — the ledger's live-telemetry view.
-
-        Carries the window and per-domain energies (not the per-cell
-        attribution table), so the streaming pipeline and the dashboard
-        can publish ledger deltas without the full cube.
-        """
-        return {
-            "start_ps": self.start_ps,
-            "end_ps": self.end_ps,
-            "window_s": self.window_s,
-            "total_energy_j": self.total_energy_j,
-            "average_power_w": self.average_power_w,
-            "domain_energy_j": dict(sorted(self.domain_energy_j.items())),
-            "cells": len(self.cells),
-        }
-
     # --- rendering --------------------------------------------------------
 
     def domain_rows(self) -> List[Tuple[str, float, float]]:

@@ -6,21 +6,16 @@ and *how much*.  Instruments are created lazily on first use and are
 plain Python objects — no background threads, no sampling, no host
 clocks — so they are safe to update from simulation callbacks.
 
-Two histogram classes cover the two observation regimes:
-
-* :class:`Histogram` keeps every exact sample — right for post-hoc
-  analysis of a few thousand observations, wrong for week-scale macro
-  horizons (lint rule S408 flags it in hot paths);
-* :class:`BoundedHistogram` keeps log-spaced buckets with exact
-  count/sum/min/max — memory bounded by the value *range*, not the
-  observation count, and mergeable across sweep worker processes
-  (request it with ``MetricsRegistry.histogram(name, bounded=True)``).
+Histograms are :class:`BoundedHistogram`: log-spaced buckets with exact
+count/sum/min/max, so memory is bounded by the value *range*, not the
+observation count — safe inside per-cycle hot paths and week-scale
+macro horizons.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import MeasurementError
 
@@ -59,54 +54,8 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """A distribution of observations (e.g. flow latencies).
-
-    Keeps every observation: observed runs record at most a few thousand
-    values, and exact percentiles beat bucketed approximations at that
-    scale.
-    """
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.values: List[float] = []
-
-    def observe(self, value: Number) -> None:
-        self.values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> float:
-        return sum(self.values)
-
-    @property
-    def mean(self) -> float:
-        return self.total / len(self.values) if self.values else 0.0
-
-    def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile; ``fraction`` in [0, 1].
-
-        Raises :class:`~repro.errors.MeasurementError` on an empty
-        histogram — a percentile of nothing is a question, not a zero.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise MeasurementError(f"percentile fraction {fraction} outside [0, 1]")
-        if not self.values:
-            raise MeasurementError(
-                f"percentile of empty histogram {self.name!r}"
-            )
-        ordered = sorted(self.values)
-        index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-        return ordered[index]
-
-
 class BoundedHistogram:
-    """A log-bucketed streaming histogram with exact count/sum/min/max.
+    """A log-bucketed histogram with exact count/sum/min/max.
 
     A positive observation lands in geometric bucket
     ``floor(log(value) / log(base))`` (value range
@@ -115,15 +64,11 @@ class BoundedHistogram:
     a dedicated bucket.  Memory is bounded by the number of *occupied*
     buckets (a handful per decade of dynamic range), never by the
     observation count, so the instrument is safe inside week-scale macro
-    runs and sweep workers.
+    runs.
 
     ``count``/``total``/``min_value``/``max_value`` stay exact;
     :meth:`percentile` is bucket-approximate (geometric-midpoint
     representative, relative error bounded by ``sqrt(base) - 1``).
-    Histograms with equal bases merge exactly — counts and sums add —
-    via :meth:`merge`, and :meth:`snapshot`/:meth:`from_snapshot`
-    round-trip through JSON so worker processes can ship partial
-    aggregates to the parent.
     """
 
     __slots__ = (
@@ -192,27 +137,6 @@ class BoundedHistogram:
         """Value range ``[lo, hi)`` of positive bucket ``index``."""
         return self.base ** index, self.base ** (index + 1)
 
-    def merge(self, other: "BoundedHistogram") -> None:
-        """Fold ``other`` into this histogram (bases must match)."""
-        if abs(other.base - self.base) > 1e-12:
-            raise MeasurementError(
-                f"cannot merge histogram {other.name!r} (base {other.base}) "
-                f"into {self.name!r} (base {self.base})"
-            )
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total += other.total
-        self.zeros += other.zeros
-        for index, bucket_count in other._pos.items():
-            self._pos[index] = self._pos.get(index, 0) + bucket_count
-        for index, bucket_count in other._neg.items():
-            self._neg[index] = self._neg.get(index, 0) + bucket_count
-        if self._min is None or other._min < self._min:  # type: ignore[operator]
-            self._min = other._min
-        if self._max is None or other._max > self._max:  # type: ignore[operator]
-            self._max = other._max
-
     def _ordered_buckets(self) -> List[Tuple[float, float, int]]:
         """``(upper_bound, representative, count)`` in ascending value order."""
         out: List[Tuple[float, float, int]] = []
@@ -224,16 +148,6 @@ class BoundedHistogram:
         for index in sorted(self._pos):
             lo, hi = self.bucket_bounds(index)
             out.append((hi, math.sqrt(lo * hi), self._pos[index]))
-        return out
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, ascending — the
-        OpenMetrics ``le`` series (the writer appends the ``+Inf`` bucket)."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for upper, _representative, bucket_count in self._ordered_buckets():
-            running += bucket_count
-            out.append((upper, running))
         return out
 
     def percentile(self, fraction: float) -> float:
@@ -257,50 +171,6 @@ class BoundedHistogram:
                 return min(max(representative, self.min_value), self.max_value)
         return self.max_value  # pragma: no cover - rank always lands above
 
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-able state; :meth:`from_snapshot` round-trips it exactly."""
-        return {
-            "name": self.name,
-            "base": self.base,
-            "count": self.count,
-            "total": self.total,
-            "zeros": self.zeros,
-            "min": self._min,
-            "max": self._max,
-            "pos": {str(index): count for index, count in sorted(self._pos.items())},
-            "neg": {str(index): count for index, count in sorted(self._neg.items())},
-        }
-
-    @classmethod
-    def from_snapshot(cls, data: Mapping[str, object]) -> "BoundedHistogram":
-        """Rebuild a histogram from a :meth:`snapshot` payload."""
-        try:
-            hist = cls(str(data["name"]), base=float(data["base"]))  # type: ignore[arg-type]
-            hist.count = int(data["count"])  # type: ignore[arg-type]
-            hist.total = float(data["total"])  # type: ignore[arg-type]
-            hist.zeros = int(data["zeros"])  # type: ignore[arg-type]
-            minimum = data.get("min")  # type: ignore[union-attr]
-            maximum = data.get("max")  # type: ignore[union-attr]
-            hist._min = None if minimum is None else float(minimum)  # type: ignore[arg-type]
-            hist._max = None if maximum is None else float(maximum)  # type: ignore[arg-type]
-            hist._pos = {
-                int(index): int(count)
-                for index, count in dict(data["pos"]).items()  # type: ignore[arg-type]
-            }
-            hist._neg = {
-                int(index): int(count)
-                for index, count in dict(data["neg"]).items()  # type: ignore[arg-type]
-            }
-        except (KeyError, TypeError, ValueError) as error:
-            raise MeasurementError(
-                f"malformed bounded-histogram snapshot: {error}"
-            ) from error
-        return hist
-
-
-#: Either histogram flavour, as stored in a :class:`MetricsRegistry`.
-AnyHistogram = Union[Histogram, BoundedHistogram]
-
 
 class MetricsRegistry:
     """Lazily-created named instruments, one namespace per tracer."""
@@ -308,7 +178,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, AnyHistogram] = {}
+        self._histograms: Dict[str, BoundedHistogram] = {}
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
@@ -322,22 +192,11 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(self, name: str, bounded: bool = False) -> AnyHistogram:
-        """The named histogram, created on first use.
-
-        ``bounded=True`` creates a :class:`BoundedHistogram` (log-bucket
-        aggregation, memory bounded by value range) instead of the exact
-        :class:`Histogram` — the right flavour inside macro or sweep hot
-        paths (lint rule S408).  The flavour is fixed at first creation;
-        later lookups return the existing instrument regardless of the
-        flag.
-        """
+    def histogram(self, name: str) -> BoundedHistogram:
+        """The named :class:`BoundedHistogram`, created on first use."""
         instrument = self._histograms.get(name)
         if instrument is None:
-            if bounded:
-                instrument = self._histograms[name] = BoundedHistogram(name)
-            else:
-                instrument = self._histograms[name] = Histogram(name)
+            instrument = self._histograms[name] = BoundedHistogram(name)
         return instrument
 
     # --- views -----------------------------------------------------------
@@ -348,7 +207,7 @@ class MetricsRegistry:
     def gauges(self) -> Dict[str, Number]:
         return {name: g.value for name, g in sorted(self._gauges.items())}
 
-    def histograms(self) -> Dict[str, AnyHistogram]:
+    def histograms(self) -> Dict[str, BoundedHistogram]:
         return dict(sorted(self._histograms.items()))
 
     def counter_value(self, name: str, default: int = 0) -> int:
@@ -367,7 +226,6 @@ class MetricsRegistry:
                     "mean": hist.mean,
                     "p50": hist.percentile(0.50) if hist.count else None,
                     "p95": hist.percentile(0.95) if hist.count else None,
-                    "bounded": isinstance(hist, BoundedHistogram),
                 }
                 for name, hist in self.histograms().items()
             },

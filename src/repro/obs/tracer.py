@@ -281,17 +281,3 @@ class Tracer:
     def set_window(self, start_ps: int, end_ps: int) -> None:
         """Record the measurement window of the observed run."""
         self.window_ps = (start_ps, end_ps)
-
-    def progress(self) -> Dict[str, int]:
-        """Record counts so far — the tracer's live-telemetry snapshot.
-
-        Cheap enough to poll mid-run (four ``len`` calls); the streaming
-        pipeline (:mod:`repro.obs.stream`) folds these into heartbeats.
-        """
-        return {
-            "spans": len(self.spans),
-            "open_spans": len(self._open),
-            "instants": len(self.instants),
-            "edges": len(self.edges),
-        }
-

@@ -131,14 +131,6 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "explain_fig2_delta", "speedup", "floor", 1.5,
         "explaining a cached pair must reuse the memoized run profiles",
     ),
-    BenchPolicy(
-        "obs_stream_fig2", "disabled_overhead_frac", "ceiling", 0.05,
-        "a disabled telemetry stream must cost under 5% of a fig2 run",
-    ),
-    BenchPolicy(
-        "obs_stream_week", "enabled_overhead_frac", "ceiling", 0.25,
-        "streaming a week-scale macro run must stay cheap enough to leave on",
-    ),
 )
 
 

@@ -31,16 +31,16 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from html import escape as esc
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.analysis.report import format_table
 from repro.errors import ConfigError
-from repro.obs.html import esc, html_table, page
 from repro.obs.runlog import RunLog
 from repro.regress.policies import bench_policies, golden_policies
 
 #: Schema identifier stamped into JSON reports; bump on breaking change.
-REPORT_SCHEMA = "repro-regress/1"
+REPORT_SCHEMA = "repro-regress/2"
 
 #: Where the benchmark harness writes its figures (repo root).
 DEFAULT_BENCH_PATH = "BENCH_perf.json"
@@ -170,12 +170,6 @@ def build_report(
 
     _attach_explains(findings, runlog)
     drift = [finding for finding in findings if not finding["within"]]
-    # anomaly advisories over the whole run history (EWMA + robust-z,
-    # repro.obs.dash): surfaced for humans, never a gate — `ok` and the
-    # exit code depend only on the policy findings above
-    from repro.obs.dash import detect_anomalies
-
-    advisories = detect_anomalies(runlog.records())
     return {
         "schema": REPORT_SCHEMA,
         "runlog": str(runlog.path),
@@ -183,7 +177,6 @@ def build_report(
         "bench_path": str(bench_path),
         "findings": findings,
         "missing": missing,
-        "advisories": advisories,
         "checked": len(findings),
         "drift": len(drift),
         "ok": not drift,
@@ -273,25 +266,6 @@ def render_text(report: Dict[str, Any]) -> str:
             "Drift explainers (latest vs previous recorded run)\n"
             + "\n".join(f"  {line}" for line in explain_lines)
         )
-    advisory_rows = [
-        [
-            advisory["experiment"],
-            advisory["metric"],
-            _fmt(advisory["value"]),
-            f"{advisory['robust_z']:+.2f}",
-            f"{advisory['ewma_rel']:+.1%}",
-            f"{advisory['points']} runs",
-        ]
-        for advisory in report.get("advisories", [])
-    ]
-    if advisory_rows:
-        sections.append(
-            format_table(
-                ["experiment", "metric", "latest", "robust z", "vs EWMA", "history"],
-                advisory_rows,
-                title="Anomaly advisories (history outliers, never a gate)",
-            )
-        )
     if report["missing"]:
         rows = [
             [
@@ -345,12 +319,40 @@ def _explain_lines(report: Dict[str, Any]) -> List[str]:
     return lines
 
 
-def render_html(report: Dict[str, Any]) -> str:
-    """Minimal static HTML page for the report (no external assets).
+#: The page style: monospace, bordered tables.
+_PAGE_STYLE = (
+    "body{font-family:monospace;margin:2em}"
+    "table{border-collapse:collapse;margin:1em 0}"
+    "td,th{border:1px solid #999;padding:0.3em 0.8em;text-align:left}"
+)
 
-    Built on :mod:`repro.obs.html` — the same table/shell vocabulary the
-    fleet dashboard (``python -m repro dash``) uses.
-    """
+
+def html_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """A bordered table with every header and cell escaped."""
+    head = "".join(f"<th>{esc(str(header))}</th>" for header in headers)
+    body = "".join(
+        "<tr>" + "".join(f"<td>{esc(str(cell))}</td>" for cell in row) + "</tr>"
+        for row in rows
+    )
+    return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
+
+
+def page(title: str, body_parts: Iterable[str]) -> str:
+    """The page shell: doctype, charset, style, title heading."""
+    return "".join(
+        [
+            "<!DOCTYPE html><html><head><meta charset='utf-8'>",
+            f"<title>{esc(title)}</title>",
+            f"<style>{_PAGE_STYLE}</style></head><body>",
+            f"<h1>{esc(title)}</h1>",
+            *body_parts,
+            "</body></html>",
+        ]
+    )
+
+
+def render_html(report: Dict[str, Any]) -> str:
+    """Minimal static HTML page for the report (no external assets)."""
     golden_rows = [
         [f["experiment"], f["key"], _fmt(f["paper"]), _fmt(f["measured"]),
          f"{f['delta']:+.4g}", f"{f['kind']} {_fmt(f['tolerance'])}",
@@ -366,11 +368,6 @@ def render_html(report: Dict[str, Any]) -> str:
         [entry["source"], entry.get("experiment") or entry.get("bench", ""),
          entry.get("key") or entry.get("metric", ""), entry["reason"]]
         for entry in report["missing"]
-    ]
-    advisory_rows = [
-        [a["experiment"], a["metric"], _fmt(a["value"]),
-         f"{a['robust_z']:+.2f}", f"{a['ewma_rel']:+.1%}", f"{a['points']} runs"]
-        for a in report.get("advisories", [])
     ]
     verdict = "OK" if report["ok"] else "DRIFT"
     parts = [
@@ -392,11 +389,6 @@ def render_html(report: Dict[str, Any]) -> str:
         parts.append("<h2>Drift explainers</h2><ul>")
         parts.extend(f"<li>{esc(line)}</li>" for line in explain_lines)
         parts.append("</ul>")
-    if advisory_rows:
-        parts.append("<h2>Anomaly advisories (never a gate)</h2>")
-        parts.append(html_table(
-            ["experiment", "metric", "latest", "robust z", "vs EWMA", "history"],
-            advisory_rows))
     if missing_rows:
         parts.append("<h2>Skipped checks</h2>")
         parts.append(html_table(["source", "subject", "metric", "reason"],

@@ -585,17 +585,4 @@ class MacroEngine:
             )
             obs.metrics.counter("macro.cycles_compiled").inc(skip)
             obs.metrics.counter("macro.steps").inc()
-        stream = getattr(runner, "_stream", None)
-        if stream is not None:
-            # live progress from inside the macro loop: one heartbeat +
-            # one skip-size sample per macro-step, so week-scale horizons
-            # report ETA without per-cycle records
-            stream.heartbeat(
-                "macro",
-                done=runner._cycles_done + skip,
-                total=runner._cycles_target,
-                sim_now_ps=p.kernel.now,
-                events=p.kernel.events_fired,
-            )
-            stream.histogram("macro.step_cycles").observe(skip)
         return skip

@@ -282,9 +282,7 @@ class FlowController:
         self._in_flow = False
         self._flow_end()
         if self.obs is not None:
-            # bounded: entry latencies accrue once per standby cycle, and
-            # week-scale macro horizons run millions of cycles (S408)
-            self.obs.metrics.histogram("flow.entry_latency_us", bounded=True).observe(
+            self.obs.metrics.histogram("flow.entry_latency_us").observe(
                 (p.kernel.now - t0) / 1e6
             )
 
@@ -542,9 +540,8 @@ class FlowController:
         self._in_flow = False
         self._flow_end()
         if self.obs is not None:
-            # the paper's wake-to-active latency (Sec. 6.3 / Sec. 8);
-            # bounded: one observation per cycle, unbounded horizons (S408)
-            self.obs.metrics.histogram("flow.exit_latency_us", bounded=True).observe(
+            # the paper's wake-to-active latency (Sec. 6.3 / Sec. 8)
+            self.obs.metrics.histogram("flow.exit_latency_us").observe(
                 (p.kernel.now - t0) / 1e6
             )
         if self._active_callback is not None:

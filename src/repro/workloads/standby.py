@@ -20,7 +20,6 @@ from repro.config import StandbyWorkloadConfig
 from repro.errors import WorkloadError
 from repro.io.wake import WakeEventType
 from repro.measure.residency import ResidencyReport, residency_report
-from repro.obs.hook import active
 from repro.obs.tracer import MEASURE_TRACK
 from repro.sim.macro import MacroConfig, MacroEngine, macro_residency_report
 from repro.system.flows import FlowController
@@ -124,8 +123,6 @@ class ConnectedStandbyRunner:
         self._measure_start_ps: Optional[int] = None
         self._drips_breakdown: Dict[str, float] = {}
         self._finished = False
-        # live telemetry stream, captured once per run() (None: disabled)
-        self._stream = None
 
     # --- cycle mechanics ----------------------------------------------------
 
@@ -220,21 +217,6 @@ class ConnectedStandbyRunner:
 
     def _on_active(self, _event) -> None:
         self._cycles_done += 1
-        stream = self._stream
-        if stream is not None:
-            # pure observation: one heartbeat + one histogram sample per
-            # completed cycle, off the kernel's event queue entirely
-            p = self.platform
-            stream.heartbeat(
-                "runner",
-                done=self._cycles_done,
-                total=self._cycles_target,
-                sim_now_ps=p.kernel.now,
-                events=p.kernel.events_fired,
-            )
-            stream.histogram("cycle.duration_s").observe(
-                (p.kernel.now - self._cycle_start_ps) / PICOSECONDS_PER_SECOND
-            )
         engine = self._macro_engine
         if engine is not None and self._cycles_done < self._cycles_target + self._warmup:
             self._cycles_done += engine.at_boundary(self)
@@ -268,9 +250,6 @@ class ConnectedStandbyRunner:
         if self._macro_engine is not None:
             # fresh detector state per run; the config carries over
             self._macro_engine = MacroEngine(p, self._macro_engine.config)
-        # capture the telemetry stream once per run; disabled cost is one
-        # attribute check per cycle in _on_active
-        self._stream = active().stream
         self._start_cycle()
         # generous event budget: each cycle is a handful of events
         p.kernel.run(max_events=self._cycles_target * 10_000 + 100_000)

@@ -20,6 +20,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2", "--cycles", "0"],
+            ["fig2", "--cycles", "-3"],
+            ["fig2", "--cycles", "two"],
+            ["trace", "--cycles", "0"],
+            ["explain", "--cycles", "0"],
+            ["fig2", "--horizon", "-1"],
+            ["fig2", "--horizon", "0"],
+            ["fig2", "--horizon", "nan"],
+            ["fig2", "--horizon", "inf"],
+            ["battery", "--battery-wh", "0"],
+            ["battery", "--battery-wh", "-38"],
+            ["battery", "--battery-wh", "nan"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_numeric_argument_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_fig1b_prints_breakdown(self, capsys):

@@ -262,61 +262,3 @@ class TestAllowPragma:
                 return items
         """)
         assert rule_ids(diags) == ["S401"]
-
-
-class TestS408ExactHistogramHotPath:
-    HOT = "src/repro/sim/macro.py"
-
-    def hot_check(self, snippet: str, filename: str = HOT):
-        return lint_source_text(textwrap.dedent(snippet), filename=filename)
-
-    def test_exact_histogram_in_hot_path_fires(self):
-        diags = self.hot_check("""
-            def step(obs):
-                obs.metrics.histogram("macro.step_cycles").observe(1)
-        """)
-        assert rule_ids(diags) == ["S408"]
-        assert "bounded=True" in diags[0].hint
-
-    def test_bounded_true_is_quiet(self):
-        assert self.hot_check("""
-            def step(obs):
-                obs.metrics.histogram("macro.step_cycles", bounded=True).observe(1)
-        """) == []
-
-    def test_bounded_false_fires(self):
-        diags = self.hot_check("""
-            def step(obs):
-                obs.metrics.histogram("x", bounded=False)
-        """)
-        assert rule_ids(diags) == ["S408"]
-
-    def test_outside_hot_paths_is_quiet(self):
-        assert self.hot_check("""
-            def step(obs):
-                obs.metrics.histogram("x").observe(1)
-        """, filename="src/repro/obs/export.py") == []
-
-    def test_telemetry_stream_receiver_is_exempt(self):
-        # TelemetryStream.histogram() is always bounded
-        assert self.hot_check("""
-            def step(stream):
-                stream.histogram("macro.step_cycles").observe(1)
-        """) == []
-
-    def test_every_hot_path_file_is_watched(self):
-        for suffix in (
-            "system/flows.py", "sim/macro.py",
-            "analysis/sweep.py", "workloads/standby.py",
-        ):
-            diags = self.hot_check("""
-                def step(obs):
-                    obs.metrics.histogram("x")
-            """, filename=f"src/repro/{suffix}")
-            assert rule_ids(diags) == ["S408"], suffix
-
-    def test_pragma_suppresses(self):
-        assert self.hot_check("""
-            def step(obs):
-                obs.metrics.histogram("x")  # lint: allow(S408)
-        """) == []

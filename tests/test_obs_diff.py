@@ -90,7 +90,17 @@ class TestPerturbations:
         )
 
     @pytest.mark.parametrize(
-        "spec", ["dram-self-refresh", "dram-self-refresh=lots", "bogus=2.0"]
+        "spec",
+        [
+            "dram-self-refresh",
+            "dram-self-refresh=lots",
+            "bogus=2.0",
+            "dram-self-refresh=nan",
+            "dram-self-refresh=inf",
+            "dram-self-refresh=-1",
+            "external-wake-rate=-1",
+            "external-wake-rate=0",
+        ],
     )
     def test_parse_rejects_malformed_specs(self, spec):
         with pytest.raises(ConfigError):

@@ -17,7 +17,6 @@ from repro.core.techniques import TechniqueSet
 from repro.obs.hook import Observation, active, observe
 from repro.obs.profile import PhaseProfiler
 from repro.obs.runlog import RunRecorder
-from repro.obs.stream import TelemetryStream
 from repro.obs.tracer import Tracer
 from repro.perf.fingerprint import canonical
 
@@ -51,14 +50,13 @@ class TestNesting:
             assert seen == [inner]
             assert active().tracer is outer
 
-    def test_inner_tracer_keeps_outer_recorder_and_stream(self, run_inner):
-        recorder, stream = RunRecorder(), TelemetryStream()
-        with observe(recorder=recorder, stream=stream):
+    def test_inner_tracer_keeps_outer_recorder(self, run_inner):
+        recorder = RunRecorder()
+        with observe(recorder=recorder):
             seen = []
             run_inner(lambda o: seen.append(o), tracer=Tracer())
             assert seen[0].recorder is recorder
-            assert seen[0].stream is stream
-            assert active() == Observation(recorder=recorder, stream=stream)
+            assert active() == Observation(recorder=recorder)
 
     def test_installed_profiler_is_closed_on_exit(self, run_inner):
         if tracemalloc.is_tracing():
@@ -76,7 +74,7 @@ class TestNesting:
 
     def test_outermost_exit_leaves_nothing_installed(self, run_inner):
         with observe(tracer=Tracer(), recorder=RunRecorder()):
-            run_inner(lambda o: None, tracer=Tracer(), stream=TelemetryStream())
+            run_inner(lambda o: None, tracer=Tracer(), recorder=RunRecorder())
         assert active().tracer is None
         assert active() == Observation()
 
@@ -95,8 +93,8 @@ class TestAllSinksPurity:
         cycles = 12
         dark = ODRIPSController(techniques()).measure(cycles=cycles, macro=macro)
         tracer, profiler = Tracer(), PhaseProfiler()
-        recorder, stream = RunRecorder(), TelemetryStream()
-        with observe(tracer=tracer, profiler=profiler, recorder=recorder, stream=stream):
+        recorder = RunRecorder()
+        with observe(tracer=tracer, profiler=profiler, recorder=recorder):
             lit = ODRIPSController(techniques()).measure(cycles=cycles, macro=macro)
         assert lit == dark
         assert _measurement_bytes(lit) == _measurement_bytes(dark)
@@ -107,4 +105,3 @@ class TestAllSinksPurity:
         assert profiler.stats()["simulate"].count == 1
         recorder.finish("purity")
         assert recorder.records[0]["measurements"][0]["label"] == lit.label
-        assert stream.histograms["measure.average_power_w"].count == 1

@@ -83,8 +83,8 @@ class TestSpanDiscipline:
         exit_ = tracer.metrics.histogram("flow.exit_latency_us")
         assert entry.count == len(flows.stats.entry_latencies_ps)
         assert exit_.count == len(flows.stats.exit_latencies_ps)
-        # the hot-path latency histograms are bounded (S408): the sum stays
-        # exact, so a single observation round-trips through the mean
+        # the latency histograms are bucketed, but the sum stays exact, so
+        # a single observation round-trips through the mean
         assert isinstance(entry, BoundedHistogram)
         assert isinstance(exit_, BoundedHistogram)
         assert entry.mean == pytest.approx(flows.stats.last_entry_us())

@@ -1,10 +1,12 @@
 """Unit tests for the repro.obs tracer, metrics and process-wide hook."""
 
+import math
+
 import pytest
 
 from repro.errors import MeasurementError
 from repro.obs.hook import active, observe
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import BoundedHistogram, MetricsRegistry
 from repro.obs.tracer import FLOW_STEP_TRACK, MEASURE_TRACK, Tracer
 
 
@@ -103,12 +105,17 @@ class TestMetricsRegistry:
     def test_histogram_stats(self):
         metrics = MetricsRegistry()
         hist = metrics.histogram("latency_us")
+        assert isinstance(hist, BoundedHistogram)
+        assert metrics.histogram("latency_us") is hist
         for value in (3.0, 1.0, 2.0):
             hist.observe(value)
         assert hist.count == 3
+        assert hist.total == 6.0
         assert hist.mean == pytest.approx(2.0)
-        assert hist.percentile(0.0) == 1.0
-        assert hist.percentile(0.5) == 2.0
+        # bucket-approximate percentiles, clamped to the exact [min, max]
+        bound = math.sqrt(hist.base) - 1.0
+        assert 1.0 <= hist.percentile(0.0) <= 1.0 * (1.0 + bound)
+        assert hist.percentile(0.5) == pytest.approx(2.0, rel=bound)
         assert hist.percentile(1.0) == 3.0
 
     def test_snapshot_shape(self):
@@ -120,6 +127,58 @@ class TestMetricsRegistry:
         assert snapshot["counters"] == {"c": 1}
         assert snapshot["gauges"] == {"g": 2.5}
         assert snapshot["histograms"]["h"]["count"] == 1
+
+
+class TestBoundedHistogram:
+    def test_count_sum_min_max_match_exact(self):
+        """The bucketed aggregate keeps exact count/sum/min/max."""
+        values = [0.003, 0.7, 1.0, 2.5, 14.0, 14.0, 311.0]
+        hist = BoundedHistogram("t")
+        total = 0.0
+        for value in values:
+            hist.observe(value)
+            total += value
+        assert hist.count == len(values)
+        assert hist.total == total
+        assert hist.mean == total / len(values)
+        assert hist.min_value == min(values)
+        assert hist.max_value == max(values)
+
+    def test_negative_and_zero_values(self):
+        hist = BoundedHistogram("t")
+        for value in (-5.0, 0.0, 0.0, 3.0):
+            hist.observe(value)
+        assert hist.count == 4
+        assert hist.zeros == 2
+        assert hist.total == -2.0
+        assert hist.min_value == -5.0
+        assert hist.max_value == 3.0
+        # ranks walk negatives, then the zero bucket, then positives
+        assert hist.percentile(0.0) == pytest.approx(-5.0, rel=0.1)
+        assert hist.percentile(0.5) == 0.0
+        assert hist.percentile(1.0) == 3.0
+
+    def test_percentile_empty_raises_typed_error(self):
+        """A percentile of nothing is a question, not 0."""
+        with pytest.raises(MeasurementError):
+            BoundedHistogram("t").percentile(0.5)
+
+    def test_percentile_bucket_error_bound(self):
+        """p50 lands within the sqrt(base)-1 relative bound, in [min, max]."""
+        values = [1.0 + 0.37 * i for i in range(101)]
+        hist = BoundedHistogram("t")
+        for value in values:
+            hist.observe(value)
+        p50_exact = sorted(values)[round(0.5 * (len(values) - 1))]
+        p50 = hist.percentile(0.5)
+        bound = math.sqrt(hist.base) - 1.0
+        assert abs(p50 - p50_exact) / p50_exact <= bound + 1e-9
+        assert hist.min_value <= p50 <= hist.max_value
+
+    def test_non_finite_observation_raises(self):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(MeasurementError):
+                BoundedHistogram("t").observe(value)
 
 
 class TestProcessWideHook:

@@ -21,6 +21,7 @@ from repro.regress import (
     render_html,
     render_text,
 )
+from repro.regress.report import esc, html_table, page
 
 
 @pytest.fixture
@@ -209,6 +210,22 @@ class TestRendering:
         assert "drips_power_mw" in html
 
 
+class TestHtmlHelpers:
+    def test_html_table_escapes(self):
+        table = html_table(["<h>"], [["<va&lue>", "<b>x</b>"]])
+        assert "&lt;h&gt;" in table
+        assert "&lt;va&amp;lue&gt;" in table
+        assert "&lt;b&gt;x&lt;/b&gt;" in table
+        assert "<b>" not in table
+
+    def test_page_shell(self):
+        doc = page("T&T", ["<p>x</p>"])
+        assert doc.startswith("<!DOCTYPE html>")
+        assert "T&amp;T" in doc
+        assert "<p>x</p>" in doc
+        assert esc("a<b") == "a&lt;b"
+
+
 class TestBaselineLoading:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -240,7 +257,8 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", "--json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro-regress/1"
+        assert report["schema"] == "repro-regress/2"
+        assert "advisories" not in report
         assert report["ok"] is True
         fig2 = [f for f in report["findings"] if f.get("experiment") == "fig2"]
         assert len(fig2) == 4
