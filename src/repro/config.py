@@ -244,6 +244,14 @@ class ContextInventory:
     graphics_bytes: int = 40 * KIB
     boot_bytes: int = 1 * KIB
 
+    def __post_init__(self) -> None:
+        # the three offloaded images must exist; the boot blob may be empty
+        least = {"system_agent_bytes": 1, "cores_bytes": 1, "graphics_bytes": 1, "boot_bytes": 0}
+        for name, minimum in least.items():
+            size = getattr(self, name)
+            if not isinstance(size, int) or isinstance(size, bool) or size < minimum:
+                raise ConfigError(f"context {name} must be an int >= {minimum}: {size!r}")
+
     @property
     def total_bytes(self) -> int:
         return self.system_agent_bytes + self.cores_bytes + self.graphics_bytes

@@ -23,12 +23,58 @@ def synthesize_context(label: str, length: int, generation: int = 0) -> bytes:
     Deterministic so tests can verify the save/restore round trip
     bit-for-bit; parameterized by ``generation`` so successive DRIPS
     cycles store *different* context (catching stale-restore bugs).
-    One SHAKE-256 extendable-output call produces the whole image; no
-    simulated cost reads the bytes, only their length.
+
+    Image contract: generation ``g`` is one SHAKE-256 output of ``label``
+    rotated left by ``g % length`` bytes, so consecutive generations are
+    one-byte rotations of each other (for random bytes they differ at
+    about 255/256 of positions) and :class:`ContextImage` advances a held
+    image without hashing again. The restore check compares the whole
+    image. No simulated cost reads the bytes, only their length.
     """
     if length < 0:
         raise FlowError(f"{label}: negative context length {length}")
-    return hashlib.shake_256(f"{label}:{generation}".encode("utf-8")).digest(length)
+    if length == 0:
+        return b""
+    image = hashlib.shake_256(label.encode("utf-8")).digest(length)
+    shift = generation % length
+    return image[shift:] + image[:shift]
+
+
+class ContextImage:
+    """The context one owner captures before DRIPS and checks on exit.
+
+    The first capture synthesizes generation 1; each later capture
+    rotates the held image left by one byte, which equals
+    ``synthesize_context(label, length, generation)`` without a hash call.
+    """
+
+    def __init__(
+        self,
+        label: str,
+        length: int,
+        owner: str,
+        mismatch: str = "restored context does not match saved context",
+    ) -> None:
+        self.label = label
+        self.length = length
+        self.owner = owner
+        self.mismatch = mismatch
+        self.generation = 0
+        self.image: Optional[bytes] = None
+
+    def capture(self) -> bytes:
+        self.generation += 1
+        if self.image is None:
+            self.image = synthesize_context(self.label, self.length, self.generation)
+        else:
+            self.image = self.image[1:] + self.image[:1]
+        return self.image
+
+    def verify(self, blob: bytes) -> None:
+        if self.image is None:
+            raise FlowError(f"{self.owner}: no context was captured")
+        if blob != self.image:
+            raise FlowError(f"{self.owner}: {self.mismatch}")
 
 
 class ComputeDomain:
@@ -49,8 +95,7 @@ class ComputeDomain:
         self.component: Component = domain.new_component(f"{name}.compute")
         self.domain = domain
         self._active = False
-        self._context: Optional[bytes] = None
-        self._generation = 0
+        self._context = ContextImage(name, context_bytes, owner=name)
         self.tasks_run = 0
 
     # --- frequency -----------------------------------------------------------
@@ -106,17 +151,12 @@ class ComputeDomain:
 
     def capture_context(self) -> bytes:
         """Produce the context blob to save before power-gating."""
-        self._generation += 1
-        self._context = synthesize_context(self.name, self.context_bytes, self._generation)
-        return self._context
+        return self._context.capture()
 
     def verify_restored(self, blob: bytes) -> None:
         """Check a restored blob against what was captured."""
-        if self._context is None:
-            raise FlowError(f"{self.name}: no context was captured")
-        if blob != self._context:
-            raise FlowError(f"{self.name}: restored context does not match saved context")
+        self._context.verify(blob)
 
     @property
     def expected_context(self) -> Optional[bytes]:
-        return self._context
+        return self._context.image

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 from repro.errors import FlowError
 from repro.memory.controller import MemoryController
-from repro.processor.core import synthesize_context
+from repro.processor.core import ContextImage
 
 
 class SystemAgent:
@@ -33,8 +33,10 @@ class SystemAgent:
     ) -> None:
         self.controller = controller
         self.context_bytes = context_bytes
-        self._context: Optional[bytes] = None
-        self._generation = 0
+        self._context = ContextImage(
+            "system_agent", context_bytes, owner="system agent",
+            mismatch="restored context does not match",
+        )
         #: Base addresses the PMU firmware programs before triggering the
         #: FSMs ("The PMU firmware configures each FSM with the
         #: protected-memory base-address (BaseAddr)", Sec. 6.2).
@@ -45,19 +47,14 @@ class SystemAgent:
 
     def capture_context(self) -> bytes:
         """Produce the SA context blob to be saved."""
-        self._generation += 1
-        self._context = synthesize_context("system_agent", self.context_bytes, self._generation)
-        return self._context
+        return self._context.capture()
 
     def verify_restored(self, blob: bytes) -> None:
-        if self._context is None:
-            raise FlowError("system agent: no context was captured")
-        if blob != self._context:
-            raise FlowError("system agent: restored context does not match")
+        self._context.verify(blob)
 
     @property
     def expected_context(self) -> Optional[bytes]:
-        return self._context
+        return self._context.image
 
     # --- FSM configuration ---------------------------------------------------------
 

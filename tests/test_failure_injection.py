@@ -8,7 +8,7 @@ CTX-SGX-DRAM.
 
 import pytest
 
-from repro.core.techniques import TechniqueSet
+from repro.core.techniques import ContextStore, Technique, TechniqueSet
 from repro.errors import FlowError, MemoryFault, SecurityError
 from repro.system.flows import FlowController
 from repro.system.states import PlatformState
@@ -59,6 +59,75 @@ class TestDRAMTampering:
             platform.kernel.run(max_events=100_000)
         assert platform.mee.stats.integrity_violations >= 1
         assert victim != bytes(64)
+
+
+PAGE = 4096
+
+
+def run_cycle(platform, flows, idle_s=0.05):
+    """One full DRIPS cycle from ACTIVE back to ACTIVE."""
+    woke = []
+    flows.set_active_callback(woke.append)
+    platform.pmu.schedule_timer_event(platform.next_timer_target(idle_s))
+    flows.request_drips()
+    platform.kernel.run(max_events=100_000)
+    assert woke and platform.state is PlatformState.ACTIVE
+
+
+def context_stores(platform):
+    """``(backing memory, offset)`` of the SA and compute images."""
+    store = platform.techniques.context_store
+    if store is ContextStore.PROCESSOR_SRAM:
+        return ((platform.sr_srams.sa_sram._store, 0),
+                (platform.sr_srams.compute_sram._store, 0))
+    device = (platform.chipset_context_sram if store is ContextStore.CHIPSET_SRAM
+              else platform.emram)
+    sa_bytes = platform.config.context.system_agent_bytes
+    return (device._store, 0), (device._store, sa_bytes)
+
+
+STORES_OUTSIDE_MEE = [
+    TechniqueSet.baseline(),
+    TechniqueSet({Technique.CTX_SGX_DRAM}, ContextStore.CHIPSET_SRAM),
+    TechniqueSet.odrips_mram(),
+]
+
+
+class TestStaleContextRestore:
+    """A store outside the MEE that hands back the previous cycle's
+    context, whole or in part, must fail the exit flow's verification."""
+
+    def second_drips_with_first_images(self, techniques):
+        platform = build_platform(techniques, small_context=True)
+        flows = FlowController(platform)
+        platform.boot()
+        run_cycle(platform, flows)
+        first = (platform.system_agent.expected_context,
+                 platform.compute.expected_context)
+        platform.pmu.schedule_timer_event(platform.next_timer_target(10.0))
+        flows.request_drips()
+        platform.kernel.run(until_ps=platform.kernel.now + 5 * 10**9)
+        assert platform.state is PlatformState.DRIPS
+        assert platform.compute.expected_context != first[1]
+        return platform, first
+
+    @pytest.mark.parametrize("techniques", STORES_OUTSIDE_MEE,
+                             ids=lambda t: t.context_store.value)
+    def test_whole_stale_image_rejected(self, techniques):
+        platform, first = self.second_drips_with_first_images(techniques)
+        for (memory, offset), image in zip(context_stores(platform), first):
+            memory.write(offset, image)
+        with pytest.raises(FlowError, match="does not match"):
+            platform.kernel.run(max_events=100_000)
+
+    @pytest.mark.parametrize("techniques", STORES_OUTSIDE_MEE,
+                             ids=lambda t: t.context_store.value)
+    def test_stale_last_page_rejected(self, techniques):
+        platform, (_sa, compute) = self.second_drips_with_first_images(techniques)
+        memory, offset = context_stores(platform)[1]
+        memory.write(offset + len(compute) - PAGE, compute[-PAGE:])
+        with pytest.raises(FlowError, match="does not match"):
+            platform.kernel.run(max_events=100_000)
 
 
 class TestMemoryPowerLoss:

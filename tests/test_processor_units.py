@@ -2,16 +2,22 @@
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import ActivePowerModel, ContextInventory
 from repro.errors import FlowError, MemoryFault
+from repro.memory.controller import MemoryController
+from repro.memory.dram import DRAMDevice
 from repro.power.domain import PowerDomain
 from repro.processor.boot import BootSRAM
 from repro.processor.core import ComputeDomain, synthesize_context
 from repro.processor.cstates import CSTATE_EXIT_LATENCY_PS, CState
 from repro.processor.llc import LastLevelCache
 from repro.processor.sr_sram import SaveRestoreSRAMs
+from repro.processor.system_agent import SystemAgent
+from repro.units import GIB
 
 
 class TestCStates:
@@ -91,9 +97,9 @@ class TestComputeDomain:
         "label, length, generation, sha256",
         [
             ("system_agent", 64 * 1024, 1,
-             "68274bd7db50f5ba2f6df9037d145c9852c122d7cd563a5d1cd45eab2aee1881"),
+             "aac03d32b456866e66bb3586b3346798079312ec2476970a1a1b555c97dcd0e0"),
             ("cores", 1000, 3,
-             "2e1e7eb9e98835ec4ed7f1df2f3c0bf6e45b8de86022385d5d2631f3557947d5"),
+             "fa35fc45a34a28c26e82aaa53049e6fc4b3ec52082a2a2823d418e73d8e35783"),
         ],
     )
     def test_synthesize_context_pinned(self, label, length, generation, sha256):
@@ -108,6 +114,54 @@ class TestComputeDomain:
     def test_synthesize_context_negative_length_rejected(self):
         with pytest.raises(FlowError):
             synthesize_context("system_agent", -1, 1)
+
+
+def context_owners(label, length):
+    """Both context owners, each with the label its images are keyed by."""
+    compute = ComputeDomain(label, PowerDomain("compute"), ActivePowerModel(), 0.8, length)
+    controller = MemoryController("mc", DRAMDevice("dram", capacity_bytes=GIB))
+    return [(label, compute), ("system_agent", SystemAgent(controller, length))]
+
+
+class TestContextImage:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        label=st.text(min_size=1, max_size=12),
+        length=st.integers(min_value=1, max_value=64 * 1024),
+        captures=st.integers(min_value=1, max_value=300),
+    )
+    def test_captures_follow_the_generator(self, label, length, captures):
+        """Rotating the held image equals synthesizing each generation."""
+        for key, owner in context_owners(label, length):
+            previous = None
+            for generation in range(1, captures + 1):
+                image = owner.capture_context()
+                assert image == synthesize_context(key, length, generation)
+                assert owner.expected_context is image
+                if previous is not None and length >= 64:
+                    old = np.frombuffer(previous, dtype=np.uint8)
+                    new = np.frombuffer(image, dtype=np.uint8)
+                    assert np.count_nonzero(old != new) >= 0.9 * length
+                previous = image
+            owner.verify_restored(previous)
+
+    def test_generation_wraps_at_length(self):
+        assert synthesize_context("cores", 100, 3) == synthesize_context("cores", 100, 103)
+        assert synthesize_context("cores", 100, 0) == hashlib.shake_256(b"cores").digest(100)
+
+    def test_owners_keep_their_messages(self):
+        (_, compute), (_, agent) = context_owners("proc", 256)
+        with pytest.raises(FlowError, match="^proc: no context was captured$"):
+            compute.verify_restored(b"x")
+        with pytest.raises(FlowError, match="^system agent: no context was captured$"):
+            agent.verify_restored(b"x")
+        compute.capture_context()
+        agent.capture_context()
+        with pytest.raises(FlowError,
+                           match="^proc: restored context does not match saved context$"):
+            compute.verify_restored(b"x")
+        with pytest.raises(FlowError, match="^system agent: restored context does not match$"):
+            agent.verify_restored(b"x")
 
 
 class TestLLC:

@@ -109,6 +109,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ActivePowerModel().voltage(0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("system_agent_bytes", -1),
+        ("system_agent_bytes", 0),
+        ("cores_bytes", 4096.0),
+        ("cores_bytes", "4096"),
+        ("graphics_bytes", 1.5),
+        ("graphics_bytes", True),
+        ("boot_bytes", -1),
+        ("boot_bytes", 0.5),
+        ("boot_bytes", False),
+    ])
+    def test_context_inventory_rejects_bad_sizes(self, field, value):
+        """Bad sizes fail at the boundary, not as a MemoryFault or a bare
+        TypeError deep inside the first DRIPS entry."""
+        from repro.config import ContextInventory
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match=field):
+            ContextInventory(**{field: value})
+
+    def test_context_inventory_allows_empty_boot_blob(self):
+        from repro.config import ContextInventory
+
+        assert ContextInventory(boot_bytes=0).boot_bytes == 0
+
     def test_context_inventory_totals(self):
         from repro.config import ContextInventory
 
