@@ -454,10 +454,10 @@ def test_standby_exact_cycles(benchmark, emit):
 
     Each cycle captures and saves the SA + cores/graphics context (one
     SHAKE-256 call per image on the first cycle, a one-byte rotation
-    after) and re-evaluates battery-side power at every component
-    change, so this row watches context capture and power-tree
-    propagation, the host cost of every exact cycle (and of the macro
-    engine's fallbacks).
+    after) and re-evaluates battery-side power once per flow segment,
+    so this row watches context capture and power-tree propagation,
+    the host cost of every exact cycle (and of the macro engine's
+    fallbacks).
     """
     from repro.core.odrips import ODRIPSController
     from repro.core.techniques import TechniqueSet
@@ -477,6 +477,52 @@ def test_standby_exact_cycles(benchmark, emit):
     emit(
         f"standby exact: {STANDBY_EXACT_CYCLES} ODRIPS-MRAM cycles in "
         f"{wall_s * 1e3:.1f} ms ({STANDBY_EXACT_CYCLES / wall_s:.0f} cycles/s)"
+    )
+
+
+#: Tree evaluations a 10-cycle exact ``measure`` may make (regress
+#: ceilings too): one per flow segment, not one per component change.
+POWER_TREE_BATCHING_CYCLES = 10
+MAX_TREE_EVALUATIONS = {"baseline": 80, "odrips_mram": 124}
+
+
+def test_power_tree_batching(benchmark, emit):
+    """Power-tree evaluations and trace samples of one 10-cycle ``measure``.
+
+    Deterministic counts, not timings: each flow segment changes many
+    components at one instant and the tree evaluates once at its end.
+    Every evaluation records one ``platform`` sample (plus one per rail),
+    so the ``platform`` channel's length counts evaluations.  A lost
+    batch shows here as a count above the ceiling.
+    """
+    from repro.core.odrips import ODRIPSController
+    from repro.core.techniques import TechniqueSet
+
+    class Capturing(ODRIPSController):
+        def build_platform(self, **platform_kwargs):
+            self.platform = super().build_platform(**platform_kwargs)
+            return self.platform
+
+    def counts(name):
+        controller = Capturing(getattr(TechniqueSet, name)())
+        controller.measure(cycles=POWER_TREE_BATCHING_CYCLES)
+        trace = controller.platform.trace
+        return len(trace.samples("platform")), len(trace)
+
+    measured = run_once(
+        benchmark, lambda: {name: counts(name) for name in MAX_TREE_EVALUATIONS}
+    )
+    row = {"cycles": POWER_TREE_BATCHING_CYCLES}
+    for name, (evaluations, samples) in measured.items():
+        assert evaluations <= MAX_TREE_EVALUATIONS[name]
+        row[f"{name}_evaluations"] = evaluations
+        row[f"{name}_trace_samples"] = samples
+    _results["power_tree_batching"] = row
+    emit(
+        f"power tree: {POWER_TREE_BATCHING_CYCLES}-cycle measure makes "
+        f"{row['baseline_evaluations']} evaluations / {row['baseline_trace_samples']} "
+        f"trace samples (baseline), {row['odrips_mram_evaluations']} / "
+        f"{row['odrips_mram_trace_samples']} (ODRIPS-MRAM)"
     )
 
 

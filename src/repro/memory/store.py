@@ -43,31 +43,47 @@ class SparseMemory:
             if page is None:
                 return bytes([self.fill]) * length
             return bytes(page[page_offset : page_offset + length])
-        out = bytearray(length)
+        # multi-page: one join over whole pages and views, no per-page copy
+        parts = []
         offset = 0
         while offset < length:
             page_index, page_offset = divmod(address + offset, PAGE_SIZE)
             chunk = min(length - offset, PAGE_SIZE - page_offset)
             page = self._pages.get(page_index)
             if page is None:
-                out[offset : offset + chunk] = bytes([self.fill]) * chunk
+                parts.append(bytes([self.fill]) * chunk)
+            elif chunk == PAGE_SIZE:
+                parts.append(page)
             else:
-                out[offset : offset + chunk] = page[page_offset : page_offset + chunk]
+                parts.append(memoryview(page)[page_offset : page_offset + chunk])
             offset += chunk
-        return bytes(out)
+        return b"".join(parts)
 
     def write(self, address: int, data: bytes) -> None:
-        """Write ``data`` starting at ``address``."""
-        self._check_range(address, len(data))
+        """Write ``data`` starting at ``address``.
+
+        The store keeps its own copy: later changes to a caller's
+        ``bytearray`` do not reach it.
+        """
+        length = len(data)
+        self._check_range(address, length)
+        # a write that spans pages is sliced through a view, so no chunk is
+        # copied twice; a one-page write slices ``data`` itself, which for
+        # ``bytes`` is no copy and costs less than making the view
+        if length > PAGE_SIZE - address % PAGE_SIZE:
+            data = memoryview(data)
         offset = 0
-        while offset < len(data):
+        while offset < length:
             page_index, page_offset = divmod(address + offset, PAGE_SIZE)
-            chunk = min(len(data) - offset, PAGE_SIZE - page_offset)
-            page = self._pages.get(page_index)
-            if page is None:
-                page = bytearray([self.fill]) * PAGE_SIZE
-                self._pages[page_index] = page
-            page[page_offset : page_offset + chunk] = data[offset : offset + chunk]
+            chunk = min(length - offset, PAGE_SIZE - page_offset)
+            if chunk == PAGE_SIZE:
+                # a whole page: replace it instead of filling then copying
+                self._pages[page_index] = bytearray(data[offset : offset + PAGE_SIZE])
+            else:
+                page = self._pages.get(page_index)
+                if page is None:
+                    page = self._pages[page_index] = bytearray([self.fill]) * PAGE_SIZE
+                page[page_offset : page_offset + chunk] = data[offset : offset + chunk]
             offset += chunk
 
     def erase(self) -> None:

@@ -7,12 +7,13 @@ fed by one :class:`~repro.power.regulator.Regulator`.
 
 Any leaf change propagates up to the owning
 :class:`~repro.power.tree.PowerTree`, which re-evaluates battery-side power
-and updates the energy meter — so power accounting is exact at every event
-boundary without polling.
+(once per batch of same-instant changes) and updates the energy meter — so
+power accounting is exact at every event boundary without polling.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import PowerError
@@ -32,8 +33,9 @@ class Component:
     """
 
     def __init__(self, name: str, leakage_watts: float = 0.0, dynamic_watts: float = 0.0) -> None:
-        if leakage_watts < 0 or dynamic_watts < 0:
-            raise PowerError(f"component {name}: negative power")
+        # chained comparisons reject negatives, NaN and +inf in one test
+        if not (0.0 <= leakage_watts < math.inf and 0.0 <= dynamic_watts < math.inf):
+            raise PowerError(f"component {name}: power must be finite and non-negative")
         self.name = name
         self._leakage_watts = leakage_watts
         self._dynamic_watts = dynamic_watts
@@ -67,22 +69,24 @@ class Component:
 
     def set_leakage(self, watts: float) -> None:
         """Set the leakage level (e.g. retention-voltage scaling)."""
-        if watts < 0:
-            raise PowerError(f"component {self.name}: negative leakage")
+        if not 0.0 <= watts < math.inf:
+            raise PowerError(f"component {self.name}: leakage must be finite and non-negative")
         self._leakage_watts = watts
         self._notify()
 
     def set_dynamic(self, watts: float) -> None:
         """Set the activity-dependent power level."""
-        if watts < 0:
-            raise PowerError(f"component {self.name}: negative dynamic power")
+        if not 0.0 <= watts < math.inf:
+            raise PowerError(
+                f"component {self.name}: dynamic power must be finite and non-negative"
+            )
         self._dynamic_watts = watts
         self._notify()
 
     def set_power(self, leakage_watts: float, dynamic_watts: float = 0.0) -> None:
         """Set both power terms in one notification."""
-        if leakage_watts < 0 or dynamic_watts < 0:
-            raise PowerError(f"component {self.name}: negative power")
+        if not (0.0 <= leakage_watts < math.inf and 0.0 <= dynamic_watts < math.inf):
+            raise PowerError(f"component {self.name}: power must be finite and non-negative")
         self._leakage_watts = leakage_watts
         self._dynamic_watts = dynamic_watts
         self._notify()

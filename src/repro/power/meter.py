@@ -7,6 +7,7 @@ components report power changes at event boundaries and the meter integrates
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from repro.errors import MeasurementError
@@ -46,8 +47,10 @@ class EnergyMeter:
 
     def set_power(self, time_ps: int, channel: str, power_watts: float) -> None:
         """Report that ``channel`` draws ``power_watts`` from ``time_ps`` on."""
-        if power_watts < 0:
-            raise MeasurementError(f"negative power on {channel!r}: {power_watts}")
+        if not 0.0 <= power_watts < math.inf:
+            raise MeasurementError(
+                f"power on {channel!r} must be finite and non-negative: {power_watts!r}"
+            )
         entry = self._channels.get(channel)
         if entry is None:
             entry = _Channel(time_ps)

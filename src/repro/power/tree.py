@@ -3,14 +3,15 @@
 The :class:`PowerTree` is the root of the power model.  Every change in a
 leaf component propagates here; the tree recomputes battery-side power,
 pushes it into the :class:`~repro.power.meter.EnergyMeter` and records it
-on the trace.  It also produces the attributed per-component breakdown that
+on the trace — once per :meth:`PowerTree.batch` when changes are batched.  It also produces the attributed per-component breakdown that
 reproduces Fig. 1(b): each component is charged its share of the
 power-delivery loss of its rail (the "power-delivery tax" of Sec. 8).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 from repro.power.domain import Rail
 from repro.power.meter import EnergyMeter
@@ -35,6 +36,8 @@ class PowerTree:
         self.trace = trace
         self._rails: List[Rail] = []
         self._suspended = 0
+        #: A change arrived while suspended: the last resume must record.
+        self._dirty = False
 
     # --- construction ---------------------------------------------------------
 
@@ -89,8 +92,9 @@ class PowerTree:
         """Batch many component changes into one re-evaluation.
 
         Nested suspensions are counted; the tree re-evaluates when the last
-        one resumes.  Use around multi-component state transitions that
-        happen at a single simulation instant.
+        one resumes, and only if a change arrived meanwhile.  Use around
+        multi-component state transitions that happen at a single
+        simulation instant.
         """
         self._suspended += 1
 
@@ -98,12 +102,29 @@ class PowerTree:
         if self._suspended <= 0:
             return
         self._suspended -= 1
-        if self._suspended == 0:
+        if self._suspended == 0 and self._dirty:
             self._on_change()
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Suspend updates for the ``with`` body, resuming even on error.
+
+        Every change inside the body lands at the current instant, so one
+        evaluation at the end records the only value that holds for
+        non-zero time: the meter integrates nothing between same-instant
+        levels, and trace consumers drop zero-length intervals.
+        """
+        self.suspend_updates()
+        try:
+            yield
+        finally:
+            self.resume_updates()
 
     def _on_change(self) -> None:
         if self._suspended:
+            self._dirty = True
             return
+        self._dirty = False
         now = self.kernel.now
         rail_watts = [rail.input_power() for rail in self._rails]
         total = sum(rail_watts)

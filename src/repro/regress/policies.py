@@ -116,6 +116,14 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "an exact standby cycle must stay cheap: context synthesis and rail propagation",
     ),
     BenchPolicy(
+        "power_tree_batching", "baseline_evaluations", "ceiling", 80.0,
+        "a flow segment must evaluate the power tree once, not per component change",
+    ),
+    BenchPolicy(
+        "power_tree_batching", "odrips_mram_evaluations", "ceiling", 124.0,
+        "a flow segment must evaluate the power tree once, not per component change",
+    ),
+    BenchPolicy(
         "mee_bulk_context_200kb", "speedup", "floor", 3.0,
         "the bulk MEE path must commit and verify each tree node once per transfer",
     ),

@@ -416,12 +416,12 @@ class MacroEngine:
                 p.trace, prev.time_ps, boundary.time_ps
             )
         )
-        boundary_values = {
-            POWER_CHANNEL: p.trace.value_at(POWER_CHANNEL, boundary.time_ps),
-        }
+        # read the live tree, not the trace: the boundary runs inside the
+        # exit flow's last power-tree batch, which records its levels only
+        # when the batch closes
+        boundary_values = {POWER_CHANNEL: p.tree.platform_power()}
         for name in sorted(rail_energy):
-            channel = _RAIL_PREFIX + name
-            boundary_values[channel] = p.trace.value_at(channel, boundary.time_ps)
+            boundary_values[_RAIL_PREFIX + name] = p.tree.rail(name).input_power()
         meter_delta = {
             name: boundary.meter_energy_j[name] - prev.meter_energy_j.get(name, 0.0)
             for name in boundary.meter_energy_j

@@ -156,6 +156,25 @@ class FlowController:
             return memory.bandwidth_bytes_per_s()
         return memory.write_bandwidth_bytes_per_s
 
+    def _batched(self, body):
+        """Run each segment of the flow generator ``body`` in one tree batch.
+
+        A segment (the code between two yields) runs at one simulated
+        instant, so the power tree evaluates once at its end instead of
+        at every component change inside it.  The exit flow's last
+        segment also runs the active callback, where the macro engine
+        may warp the clock; the batch then evaluates at the warped
+        instant, the first one at which the new levels hold.
+        """
+        tree = self.platform.tree
+        while True:
+            with tree.batch():
+                try:
+                    delay = next(body)
+                except StopIteration:
+                    return
+            yield delay
+
     def _step(self, label: str) -> None:
         """Log a flow step on the trace (tests assert the Sec. 2.2 order).
 
@@ -219,7 +238,7 @@ class FlowController:
         if self._in_flow:
             raise FlowError("a flow is already in progress")
         self._in_flow = True
-        Process(p.kernel, self._entry_flow(), name="drips-entry")
+        Process(p.kernel, self._batched(self._entry_flow()), name="drips-entry")
 
     def _entry_flow(self):
         p = self.platform
@@ -419,11 +438,13 @@ class FlowController:
         self._in_flow = True
         Process(
             p.kernel,
-            self._shallow_idle_flow(
-                state,
-                CSTATE_POWER_WATTS[state],
-                CSTATE_EXIT_LATENCY_PS[state],
-                wake_delay_s,
+            self._batched(
+                self._shallow_idle_flow(
+                    state,
+                    CSTATE_POWER_WATTS[state],
+                    CSTATE_EXIT_LATENCY_PS[state],
+                    wake_delay_s,
+                )
             ),
             name=f"shallow-{state.name}",
         )
@@ -487,7 +508,7 @@ class FlowController:
         self._in_flow = True
         self._last_wake_event = event
         p.record_wake(event)
-        Process(p.kernel, self._exit_flow(event), name="drips-exit")
+        Process(p.kernel, self._batched(self._exit_flow(event)), name="drips-exit")
 
     def _exit_flow(self, event: WakeEvent):
         p = self.platform

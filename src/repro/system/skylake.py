@@ -85,172 +85,174 @@ class SkylakePlatform:
         self.meter = EnergyMeter()
         self.tree = PowerTree(self.kernel, self.meter, self.trace)
 
-        # --- rails and domains ----------------------------------------------------
-        rail_aon = self.tree.new_rail("proc_aon", 1.0)
-        self.dom_proc_aon = rail_aon.new_domain("proc.aon")
-        self.dom_pmu = rail_aon.new_domain("proc.pmu")
-        self.dom_aon_io = rail_aon.new_domain("proc.aon_io")
-        self.dom_aon_vr = rail_aon.new_domain("proc.aon_vr")
+        # every component lands at t = 0: one evaluation once wiring is done
+        with self.tree.batch():
+            # --- rails and domains ------------------------------------------------
+            rail_aon = self.tree.new_rail("proc_aon", 1.0)
+            self.dom_proc_aon = rail_aon.new_domain("proc.aon")
+            self.dom_pmu = rail_aon.new_domain("proc.pmu")
+            self.dom_aon_io = rail_aon.new_domain("proc.aon_io")
+            self.dom_aon_vr = rail_aon.new_domain("proc.aon_vr")
 
-        rail_retention = self.tree.new_rail("sram_retention", 1.0)
-        self.dom_sr_sram = rail_retention.new_domain("proc.sr_sram")
-        self.dom_retention_vr = rail_retention.new_domain("proc.retention_vr")
+            rail_retention = self.tree.new_rail("sram_retention", 1.0)
+            self.dom_sr_sram = rail_retention.new_domain("proc.sr_sram")
+            self.dom_retention_vr = rail_retention.new_domain("proc.retention_vr")
 
-        rail_chipset = self.tree.new_rail("chipset_aon", 1.0)
-        self.dom_chipset = rail_chipset.new_domain("pch.aon")
+            rail_chipset = self.tree.new_rail("chipset_aon", 1.0)
+            self.dom_chipset = rail_chipset.new_domain("pch.aon")
 
-        rail_board = self.tree.new_rail("board", 1.0)
-        self.dom_board = rail_board.new_domain("board.clocks")
-        self.dom_memory = rail_board.new_domain("memory")
-        self.dom_flow = rail_board.new_domain("flow")
+            rail_board = self.tree.new_rail("board", 1.0)
+            self.dom_board = rail_board.new_domain("board.clocks")
+            self.dom_memory = rail_board.new_domain("memory")
+            self.dom_flow = rail_board.new_domain("flow")
 
-        self.rail_compute = self.tree.new_rail("compute", 1.0)
-        self.dom_compute = self.rail_compute.new_domain("proc.compute")
+            self.rail_compute = self.tree.new_rail("compute", 1.0)
+            self.dom_compute = self.rail_compute.new_domain("proc.compute")
 
-        # --- board (crystals, memory device, FET, EC) --------------------------------
-        self.board = Board(
-            self.kernel,
-            self.config,
-            clock_domain=self.dom_board,
-            memory_domain=self.dom_memory,
-            context_store=self.techniques.context_store,
-        )
-        self.dom_aon_io.gate = self.board.aon_io_fet
+            # --- board (crystals, memory device, FET, EC) ----------------------------
+            self.board = Board(
+                self.kernel,
+                self.config,
+                clock_domain=self.dom_board,
+                memory_domain=self.dom_memory,
+                context_store=self.techniques.context_store,
+            )
+            self.dom_aon_io.gate = self.board.aon_io_fet
 
-        # --- fixed AON components --------------------------------------------------------
-        self.timer_wake_component = self.dom_proc_aon.new_component(
-            "proc.timer_wake", budget.timer_wakeup_monitor_w
-        )
-        self.cke_component = self.dom_proc_aon.new_component(
-            "proc.cke_drive", budget.cke_drive_w
-        )
-        self.aon_vr_component = self.dom_aon_vr.new_component(
-            "proc.aon_vr_quiescent", budget.aon_vr_quiescent_w
-        )
-        self.retention_vr_component = self.dom_retention_vr.new_component(
-            "proc.retention_vr_quiescent", budget.sram_retention_vr_quiescent_w
-        )
-
-        # --- AON IO bank ---------------------------------------------------------------------
-        self.aon_io_bank = AONIOBank(self.dom_aon_io)
-        for pad_name, share in AON_IO_PAD_SHARES.items():
-            self.aon_io_bank.add_pad(
-                pad_name,
-                leakage_watts=budget.aon_io_bank_w * share,
-                wake_capable=pad_name in ("thermal", "pml_rx"),
+            # --- fixed AON components ----------------------------------------------------
+            self.timer_wake_component = self.dom_proc_aon.new_component(
+                "proc.timer_wake", budget.timer_wakeup_monitor_w
+            )
+            self.cke_component = self.dom_proc_aon.new_component(
+                "proc.cke_drive", budget.cke_drive_w
+            )
+            self.aon_vr_component = self.dom_aon_vr.new_component(
+                "proc.aon_vr_quiescent", budget.aon_vr_quiescent_w
+            )
+            self.retention_vr_component = self.dom_retention_vr.new_component(
+                "proc.retention_vr_quiescent", budget.sram_retention_vr_quiescent_w
             )
 
-        # --- S/R SRAMs, Boot SRAM, LLC, compute, SA ----------------------------------------------
-        self.sr_srams = SaveRestoreSRAMs(
-            self.dom_sr_sram, self.config.context, budget.sr_sram_w
-        )
-        self.boot_sram = BootSRAM(self.dom_pmu)
-        self.llc = LastLevelCache(self.config.llc_bytes)
-        self.uncore_component = self.dom_compute.new_component("proc.uncore")
-        self.compute = ComputeDomain(
-            "proc",
-            self.dom_compute,
-            self.config.active_model,
-            frequency_ghz=self.config.min_core_ghz,
-            context_bytes=self.config.context.cores_bytes + self.config.context.graphics_bytes,
-        )
-
-        # --- memory controller + protected region -----------------------------------------------
-        self.memory_controller = MemoryController("proc.mc", self.board.memory)
-        self.mee: Optional[MemoryEncryptionEngine] = None
-        self.context_region: Optional[MemoryRegion] = None
-        self.context_allocator: Optional[RotatingContextAllocator] = None
-        if self.techniques.context_store in (ContextStore.DRAM_SGX, ContextStore.PCM):
-            region_base = 1 * GIB
-            # PCM rewrites the context every cycle on finite-endurance
-            # cells, so its protected region holds several rotation slots
-            # (Sec. 6.1's endurance concern; see repro.memory.wear_leveling).
-            slots = 4 if self.techniques.context_store is ContextStore.PCM else 1
-            data_size = self.config.context.total_bytes * slots
-            geometry = TreeGeometry.for_data_size(region_base, data_size)
-            cache = MEECache(sets=mee_cache_sets, ways=mee_cache_ways)
-            self.mee = MemoryEncryptionEngine(
-                self.board.memory, geometry, DEFAULT_MEE_MASTER_KEY, cache
-            )
-            self.context_region = MemoryRegion(
-                region_base, geometry.data_blocks * 64
-            )
-            self.memory_controller.attach_mee(self.mee, self.context_region)
-            if slots > 1:
-                self.context_allocator = RotatingContextAllocator(
-                    self.context_region.size, self.config.context.total_bytes
+            # --- AON IO bank -----------------------------------------------------------------
+            self.aon_io_bank = AONIOBank(self.dom_aon_io)
+            for pad_name, share in AON_IO_PAD_SHARES.items():
+                self.aon_io_bank.add_pad(
+                    pad_name,
+                    leakage_watts=budget.aon_io_bank_w * share,
+                    wake_capable=pad_name in ("thermal", "pml_rx"),
                 )
 
-        # --- alternative context stores --------------------------------------------------------------
-        self.chipset_context_sram: Optional[SRAMDevice] = None
-        self.emram: Optional[EMRAMDevice] = None
-        if self.techniques.context_store is ContextStore.CHIPSET_SRAM:
-            per_byte = (
-                budget.sr_sram_w
-                / self.config.context.total_bytes
-                / SRAMDevice.PROCESS_LEAKAGE_RATIO
+            # --- S/R SRAMs, Boot SRAM, LLC, compute, SA ------------------------------------------
+            self.sr_srams = SaveRestoreSRAMs(
+                self.dom_sr_sram, self.config.context, budget.sr_sram_w
             )
-            self.chipset_context_sram = SRAMDevice(
-                "pch.context_sram",
-                capacity_bytes=self.config.context.total_bytes,
-                leakage_watts_per_byte=per_byte,
-                power_component=self.dom_chipset.new_component("pch.context_sram"),
-            )
-        elif self.techniques.context_store is ContextStore.EMRAM:
-            self.emram = EMRAMDevice(
-                capacity_bytes=max(256 * 1024, self.config.context.total_bytes),
-                power_component=self.dom_pmu.new_component("proc.emram"),
+            self.boot_sram = BootSRAM(self.dom_pmu)
+            self.llc = LastLevelCache(self.config.llc_bytes)
+            self.uncore_component = self.dom_compute.new_component("proc.uncore")
+            self.compute = ComputeDomain(
+                "proc",
+                self.dom_compute,
+                self.config.active_model,
+                frequency_ghz=self.config.min_core_ghz,
+                context_bytes=self.config.context.cores_bytes + self.config.context.graphics_bytes,
             )
 
-        self.system_agent = SystemAgent(
-            self.memory_controller, self.config.context.system_agent_bytes
-        )
+            # --- memory controller + protected region -------------------------------------------
+            self.memory_controller = MemoryController("proc.mc", self.board.memory)
+            self.mee: Optional[MemoryEncryptionEngine] = None
+            self.context_region: Optional[MemoryRegion] = None
+            self.context_allocator: Optional[RotatingContextAllocator] = None
+            if self.techniques.context_store in (ContextStore.DRAM_SGX, ContextStore.PCM):
+                region_base = 1 * GIB
+                # PCM rewrites the context every cycle on finite-endurance
+                # cells, so its protected region holds several rotation slots
+                # (Sec. 6.1's endurance concern; see repro.memory.wear_leveling).
+                slots = 4 if self.techniques.context_store is ContextStore.PCM else 1
+                data_size = self.config.context.total_bytes * slots
+                geometry = TreeGeometry.for_data_size(region_base, data_size)
+                cache = MEECache(sets=mee_cache_sets, ways=mee_cache_ways)
+                self.mee = MemoryEncryptionEngine(
+                    self.board.memory, geometry, DEFAULT_MEE_MASTER_KEY, cache
+                )
+                self.context_region = MemoryRegion(
+                    region_base, geometry.data_blocks * 64
+                )
+                self.memory_controller.attach_mee(self.mee, self.context_region)
+                if slots > 1:
+                    self.context_allocator = RotatingContextAllocator(
+                        self.context_region.size, self.config.context.total_bytes
+                    )
 
-        # --- PMU -----------------------------------------------------------------------------------------
-        self.pmu = ProcessorPMU(
-            self.kernel,
-            self.board.fast_clock,
-            component=self.dom_pmu.new_component("proc.pmu"),
-            drips_power_watts=budget.pmu_ungated_w,
-            deep_power_watts=budget.pmu_deep_gated_w,
-        )
+            # --- alternative context stores ----------------------------------------------------------
+            self.chipset_context_sram: Optional[SRAMDevice] = None
+            self.emram: Optional[EMRAMDevice] = None
+            if self.techniques.context_store is ContextStore.CHIPSET_SRAM:
+                per_byte = (
+                    budget.sr_sram_w
+                    / self.config.context.total_bytes
+                    / SRAMDevice.PROCESS_LEAKAGE_RATIO
+                )
+                self.chipset_context_sram = SRAMDevice(
+                    "pch.context_sram",
+                    capacity_bytes=self.config.context.total_bytes,
+                    leakage_watts_per_byte=per_byte,
+                    power_component=self.dom_chipset.new_component("pch.context_sram"),
+                )
+            elif self.techniques.context_store is ContextStore.EMRAM:
+                self.emram = EMRAMDevice(
+                    capacity_bytes=max(256 * 1024, self.config.context.total_bytes),
+                    power_component=self.dom_pmu.new_component("proc.emram"),
+                )
 
-        # --- chipset ------------------------------------------------------------------------------------------
-        frac_bits = fractional_bits_for_precision(
-            self.config.fast_xtal_hz, self.config.slow_xtal_hz,
-            self.config.timer_precision_ppb,
-        )
-        int_bits = integer_bits_for_ratio(
-            self.config.fast_xtal_hz, self.config.slow_xtal_hz
-        )
-        self.chipset = Chipset(
-            self.kernel,
-            self.dom_chipset,
-            self.board.fast_clock,
-            self.board.slow_clock,
-            budget,
-            timer_frac_bits=frac_bits,
-            timer_int_bits=int_bits,
-        )
-        self.chipset.attach_thermal_line(self.board.ec.thermal_line)
-        # The chipset drives the AON-IO FET's gate terminal through its
-        # dedicated spare GPIO (Sec. 5.3); without this binding nothing
-        # in the model can ever actuate the FET (lint rule M106).
-        self.board.aon_io_fet.bind_gpio(self.chipset.fet_gpio)
+            self.system_agent = SystemAgent(
+                self.memory_controller, self.config.context.system_agent_bytes
+            )
 
-        # --- PML -----------------------------------------------------------------------------------------------
-        # The chipset side pads live in the chipset AON domain; their power
-        # is part of the proc-link slice, so the pads carry zero extra.
-        pch_pml_pad = AONIOBank(self.dom_chipset).add_pad("pch_pml", 0.0)
-        self.pml = PMLLink(
-            self.kernel,
-            self.board.fast_clock,
-            processor_pad=self.aon_io_bank.pad("pml_tx"),
-            chipset_pad=pch_pml_pad,
-        )
+            # --- PMU -------------------------------------------------------------------------------------
+            self.pmu = ProcessorPMU(
+                self.kernel,
+                self.board.fast_clock,
+                component=self.dom_pmu.new_component("proc.pmu"),
+                drips_power_watts=budget.pmu_ungated_w,
+                deep_power_watts=budget.pmu_deep_gated_w,
+            )
 
-        # --- bookkeeping -------------------------------------------------------------------------------------------
-        self.flow_component = self.dom_flow.new_component("flow.transition")
+            # --- chipset --------------------------------------------------------------------------------------
+            frac_bits = fractional_bits_for_precision(
+                self.config.fast_xtal_hz, self.config.slow_xtal_hz,
+                self.config.timer_precision_ppb,
+            )
+            int_bits = integer_bits_for_ratio(
+                self.config.fast_xtal_hz, self.config.slow_xtal_hz
+            )
+            self.chipset = Chipset(
+                self.kernel,
+                self.dom_chipset,
+                self.board.fast_clock,
+                self.board.slow_clock,
+                budget,
+                timer_frac_bits=frac_bits,
+                timer_int_bits=int_bits,
+            )
+            self.chipset.attach_thermal_line(self.board.ec.thermal_line)
+            # The chipset drives the AON-IO FET's gate terminal through its
+            # dedicated spare GPIO (Sec. 5.3); without this binding nothing
+            # in the model can ever actuate the FET (lint rule M106).
+            self.board.aon_io_fet.bind_gpio(self.chipset.fet_gpio)
+
+            # --- PML -------------------------------------------------------------------------------------------
+            # The chipset side pads live in the chipset AON domain; their power
+            # is part of the proc-link slice, so the pads carry zero extra.
+            pch_pml_pad = AONIOBank(self.dom_chipset).add_pad("pch_pml", 0.0)
+            self.pml = PMLLink(
+                self.kernel,
+                self.board.fast_clock,
+                processor_pad=self.aon_io_bank.pad("pml_tx"),
+                chipset_pad=pch_pml_pad,
+            )
+
+            # --- bookkeeping ---------------------------------------------------------------------------------------
+            self.flow_component = self.dom_flow.new_component("flow.transition")
         self.state = PlatformState.BOOT
         self._record_state()
         self._booted = False
@@ -304,8 +306,7 @@ class SkylakePlatform:
 
     def apply_active_state(self) -> None:
         """Set every component to its C0 (display-off) level."""
-        self.tree.suspend_updates()
-        try:
+        with self.tree.batch():
             self.state = PlatformState.ACTIVE
             if not self.rail_compute.regulator.enabled:
                 self.rail_compute.turn_on()
@@ -337,8 +338,6 @@ class SkylakePlatform:
             if self.chipset_context_sram is not None:
                 self.chipset_context_sram.power_off()
             self.flow_component.set_power(0.0)
-        finally:
-            self.tree.resume_updates()
         self._record_state()
 
     def apply_drips_state(self) -> None:
@@ -351,8 +350,7 @@ class SkylakePlatform:
         """
         budget = self.config.budget
         techniques = self.techniques
-        self.tree.suspend_updates()
-        try:
+        with self.tree.batch():
             self.state = PlatformState.DRIPS
             self.flow_component.set_power(0.0)
             # compute side fully off
@@ -396,8 +394,6 @@ class SkylakePlatform:
                 self.retention_vr_component.set_power(
                     budget.sram_retention_vr_quiescent_w
                 )
-        finally:
-            self.tree.resume_updates()
         self._record_state()
 
     def set_transition_state(self, state: PlatformState) -> None:

@@ -75,3 +75,101 @@ class TestProperties:
         memory.write(2 * PAGE_SIZE, second)
         assert memory.read(0, len(first)) == first
         assert memory.read(2 * PAGE_SIZE, len(second)) == second
+
+
+_PAGES = 6
+_CAPACITY = _PAGES * PAGE_SIZE
+
+# Addresses and lengths cluster on page boundaries, where the page walk
+# switches between partial-page copies, whole-page replacement and joins.
+_addresses = st.one_of(
+    st.integers(0, _PAGES).map(lambda page: page * PAGE_SIZE),
+    st.tuples(st.integers(0, _PAGES), st.integers(-3, 3)).map(
+        lambda pair: min(max(pair[0] * PAGE_SIZE + pair[1], 0), _CAPACITY)
+    ),
+    st.integers(0, _CAPACITY),
+)
+_lengths = st.one_of(
+    st.sampled_from([0, 1, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1, 2 * PAGE_SIZE]),
+    st.integers(0, 3 * PAGE_SIZE),
+)
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "bytes", "bytearray", "memoryview"]),
+        _addresses,
+        _lengths,
+        st.integers(0, 2**32),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestAgainstFlatModel:
+    """Generated access sequences against a flat ``bytearray`` model.
+
+    Wall budget: 1 s for this class (about 0.5 s on a 2-core Xeon host).
+    """
+
+    @given(fill=st.sampled_from([0x00, 0xA5, 0xFF]), ops=_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_flat_bytearray(self, fill, ops):
+        import random
+
+        memory = SparseMemory(_CAPACITY, fill=fill)
+        model = bytearray([fill]) * _CAPACITY
+        touched = set()
+        for kind, address, length, seed in ops:
+            length = min(length, _CAPACITY - address)
+            if kind == "read":
+                out = memory.read(address, length)
+                assert type(out) is bytes
+                assert out == model[address : address + length]
+                continue
+            payload = bytearray(random.Random(seed).randbytes(length))
+            data = {
+                "bytes": bytes(payload),
+                "bytearray": payload,
+                "memoryview": memoryview(payload),
+            }[kind]
+            memory.write(address, data)
+            model[address : address + length] = payload
+            if length:
+                touched.update(
+                    range(address // PAGE_SIZE, (address + length - 1) // PAGE_SIZE + 1)
+                )
+            # the store keeps its own copy of the caller's buffer
+            payload[:] = bytes(byte ^ 0xFF for byte in payload)
+            assert memory.resident_pages == len(touched)
+        whole = memory.read(0, _CAPACITY)
+        assert type(whole) is bytes
+        assert whole == model
+        # multi-page reads that start or end one byte inside a page
+        for start in (1, PAGE_SIZE - 1, 2 * PAGE_SIZE + 1):
+            for length in (PAGE_SIZE - 1, PAGE_SIZE + 1, 3 * PAGE_SIZE - 2):
+                assert memory.read(start, length) == model[start : start + length]
+        assert memory.resident_pages == len(touched)
+
+    def test_whole_page_write_replaces_existing_page(self):
+        memory = SparseMemory(3 * PAGE_SIZE, fill=0x11)
+        memory.write(PAGE_SIZE + 5, b"old")
+        page = bytes(range(256)) * (PAGE_SIZE // 256)
+        memory.write(PAGE_SIZE, page)
+        assert memory.read(PAGE_SIZE, PAGE_SIZE) == page
+        assert memory.read(PAGE_SIZE - 2, 4) == b"\x11\x11" + page[:2]
+        assert memory.resident_pages == 1
+
+    def test_zero_length_access_at_capacity(self):
+        memory = SparseMemory(2 * PAGE_SIZE, fill=0x7F)
+        assert memory.read(2 * PAGE_SIZE, 0) == b""
+        memory.write(2 * PAGE_SIZE, b"")
+        assert memory.resident_pages == 0
+        with pytest.raises(MemoryFault):
+            memory.read(2 * PAGE_SIZE, 1)
+
+    def test_unwritten_multi_page_read_is_fill(self):
+        memory = SparseMemory(4 * PAGE_SIZE, fill=0xC3)
+        memory.write(2 * PAGE_SIZE + 7, b"\x00")
+        out = memory.read(PAGE_SIZE - 1, 2 * PAGE_SIZE + 9)
+        assert type(out) is bytes
+        assert out == b"\xc3" * (PAGE_SIZE + 8) + b"\x00" + b"\xc3" * PAGE_SIZE

@@ -29,6 +29,26 @@ class TestComponent:
         with pytest.raises(PowerError):
             component.set_leakage(-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda c, w: Component("x", leakage_watts=w),
+            lambda c, w: Component("x", dynamic_watts=w),
+            lambda c, w: c.set_leakage(w),
+            lambda c, w: c.set_dynamic(w),
+            lambda c, w: c.set_power(w),
+            lambda c, w: c.set_power(0.1, w),
+        ],
+        ids=["init-leakage", "init-dynamic", "set_leakage", "set_dynamic",
+             "set_power-leakage", "set_power-dynamic"],
+    )
+    def test_non_finite_power_rejected(self, apply, bad):
+        component = Component("c", leakage_watts=0.2, dynamic_watts=0.3)
+        with pytest.raises(PowerError, match="finite and non-negative"):
+            apply(component, bad)
+        assert component.power_watts == pytest.approx(0.5)  # unchanged
+
     def test_double_attach_rejected(self):
         domain_a = PowerDomain("a")
         domain_b = PowerDomain("b")

@@ -46,6 +46,15 @@ class TestIntegration:
         with pytest.raises(MeasurementError):
             meter.set_power(0, "a", -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_power_rejected(self, bad):
+        meter = EnergyMeter()
+        meter.set_power(0, "a", 1.0)
+        with pytest.raises(MeasurementError, match="finite and non-negative"):
+            meter.set_power(10, "a", bad)
+        assert meter.power("a") == 1.0
+        assert meter.energy("a", up_to_ps=10) == 1.0 * 10 / 1e12
+
     def test_time_going_backwards_rejected(self):
         meter = EnergyMeter()
         meter.set_power(100, "a", 1.0)

@@ -61,6 +61,83 @@ class TestSuspension:
     def test_resume_without_suspend_is_safe(self, tree):
         tree.resume_updates()
 
+    def test_batch_without_change_records_nothing(self, tree, kernel, trace):
+        tree.new_rail("a", 1.0).new_domain("d").new_component("c", 0.1)
+        kernel.advance_to(100)
+        before = len(trace)
+        with tree.batch():
+            with tree.batch():
+                pass
+        assert len(trace) == before
+        assert trace.last("platform").time_ps == 0
+
+    def test_nested_batches_record_once_at_outer_exit(self, tree, kernel, trace, meter):
+        rail = tree.new_rail("a", 1.0)
+        component = rail.new_domain("d").new_component("c", 0.1)
+        kernel.advance_to(100)
+        before = len(trace)
+        with tree.batch():
+            with tree.batch():
+                component.set_leakage(0.3)
+            assert len(trace) == before  # the inner exit only unnests
+            component.set_dynamic(0.2)
+            assert meter.power("platform") == pytest.approx(0.1)
+        assert [(s.time_ps, s.channel) for s in trace.samples()[before:]] == [
+            (100, "platform"),
+            (100, "rail:a"),
+        ]
+        assert trace.last("platform").value == pytest.approx(0.5)
+        assert meter.power("platform") == pytest.approx(0.5)
+
+    def test_change_reverted_inside_batch_still_records(self, tree, kernel, trace):
+        """A change marks the instant even when the level ends unchanged."""
+        component = tree.new_rail("a", 1.0).new_domain("d").new_component("c", 0.1)
+        kernel.advance_to(100)
+        with tree.batch():
+            component.set_leakage(0.4)
+            component.set_leakage(0.1)
+        assert trace.last("platform").time_ps == 100
+        assert trace.last("platform").value == pytest.approx(0.1)
+
+    def test_batch_resumes_when_its_body_raises(self, tree, kernel, trace):
+        component = tree.new_rail("a", 1.0).new_domain("d").new_component("c", 0.1)
+        kernel.advance_to(100)
+        with pytest.raises(RuntimeError):
+            with tree.batch():
+                component.set_leakage(0.2)
+                raise RuntimeError("boom")
+        assert trace.last("platform").time_ps == 100  # the change landed
+        kernel.advance_to(200)
+        component.set_leakage(0.3)
+        assert trace.last("platform").time_ps == 200  # and the tree is live
+
+    def test_exception_in_batched_flow_segment_propagates(self):
+        from repro.sim.process import Process
+        from repro.system.flows import FlowController
+        from repro.system.skylake import SkylakePlatform
+
+        platform = SkylakePlatform()
+        flows = FlowController(platform)
+        component = platform.flow_component
+
+        def segment():
+            component.set_power(0.5)
+            yield 10
+            component.set_power(0.7)
+            raise RuntimeError("flow step failed")
+
+        Process(platform.kernel, flows._batched(segment()), name="failing")
+        with pytest.raises(RuntimeError, match="flow step failed"):
+            platform.kernel.run()
+        # the failing segment's change was recorded at its own instant ...
+        last = platform.trace.last("platform")
+        assert last.time_ps == 10
+        assert last.value == platform.tree.platform_power()
+        # ... and the tree is unsuspended: the next change records at once
+        platform.kernel.advance_to(20)
+        component.set_power(0.0)
+        assert platform.trace.last("platform").time_ps == 20
+
 
 class TestAttribution:
     def test_components_attributed_directly_at_unit_efficiency(self, tree):
