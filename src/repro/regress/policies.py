@@ -128,6 +128,10 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "the bulk MEE path must commit and verify each tree node once per transfer",
     ),
     BenchPolicy(
+        "mee_bulk_context_200kb", "wall_s", "ceiling", 0.26,
+        "a cold 200 KB context save and restore through the bulk MEE path must stay cheap",
+    ),
+    BenchPolicy(
         "mee_random_access", "wall_s", "ceiling", 0.6,
         "per-access MEE tree walks must stay cheap on the host",
     ),

@@ -67,7 +67,11 @@ class MEECache:
         line[key] = counter
 
     def invalidate(self, key: CacheKey) -> None:
-        """Drop one entry (used when a write bumps a counter)."""
+        """Drop one entry.
+
+        No engine path calls this: a write re-inserts the bumped counter
+        with :meth:`insert` instead.
+        """
         self._set_of(key).pop(key, None)
 
     def flush(self) -> None:

@@ -3,8 +3,8 @@
 The real MEE uses AES-CTR encryption and a Carter-Wegman MAC keyed from
 fuses.  We need the same *structure* — deterministic keystream addressed
 by (spatial address, version counter), and a keyed tamper-evident tag —
-and build both from HMAC-SHA256, which the Python standard library
-provides.  The security argument of the paper (confidentiality, integrity,
+and build both from HMAC-SHA256 (RFC 2104) over the standard library's
+SHA-256.  The security argument of the paper (confidentiality, integrity,
 freshness for the context while in DRAM) maps one-to-one onto these
 primitives.
 """
@@ -14,20 +14,53 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+from typing import Tuple
 
 from repro.errors import SecurityError
 
 MAC_LENGTH = 8  # bytes; SGX's MEE uses 56-bit MACs, we round to 8 bytes
 _DIGEST_SIZE = hashlib.sha256().digest_size
+_SHA256_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 _LENGTH_PREFIX = struct.Struct(">I")
 _KEYSTREAM_SEED = struct.Struct(">QQI")
+_COUNTER = struct.Struct(">Q")
+
+
+def _require_bytes(key, what: str) -> None:
+    """Reject a key that is not ``bytes``/``bytearray`` before anything uses it."""
+    if not isinstance(key, (bytes, bytearray)):
+        raise SecurityError(f"{what} must be bytes, got {type(key).__name__}")
+
+
+def _pad_states(key: bytes) -> Tuple["hashlib._Hash", "hashlib._Hash"]:
+    """RFC 2104 inner and outer SHA-256 states of ``key``.
+
+    HMAC(key, m) = H(outer || H(inner || m)); each state has absorbed its
+    padded key block, so a copy plus one update per side finishes a MAC.
+    """
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    block = key.ljust(_SHA256_BLOCK, b"\0")
+    return hashlib.sha256(block.translate(_IPAD)), hashlib.sha256(block.translate(_OPAD))
+
+
+def _hmac(inner, outer, message: bytes) -> bytes:
+    """HMAC-SHA256 of ``message`` from the key's pad states."""
+    state = inner.copy()
+    state.update(message)
+    result = outer.copy()
+    result.update(state.digest())
+    return result.digest()
 
 
 def derive_key(master: bytes, label: str) -> bytes:
     """Domain-separated subkey derivation (encryption vs MAC vs tree)."""
+    _require_bytes(master, "master key")
     if not master:
         raise SecurityError("empty master key")
-    return hmac.new(master, label.encode("utf-8"), hashlib.sha256).digest()
+    return _hmac(*_pad_states(master), label.encode("utf-8"))
 
 
 class CtrCipher:
@@ -40,19 +73,15 @@ class CtrCipher:
     """
 
     def __init__(self, key: bytes) -> None:
+        _require_bytes(key, "cipher key")
         if len(key) < 16:
             raise SecurityError("cipher key too short")
-        # keyed once; each PRF call copies it (same digest as a fresh HMAC)
-        self._prf = hmac.new(key, digestmod=hashlib.sha256)
-
-    def _digest(self, message: bytes) -> bytes:
-        prf = self._prf.copy()
-        prf.update(message)
-        return prf.digest()
+        self._inner, self._outer = _pad_states(key)
 
     def _keystream(self, address: int, version: int, length: int) -> bytes:
+        inner, outer = self._inner, self._outer
         return b"".join([
-            self._digest(_KEYSTREAM_SEED.pack(address, version, i))
+            _hmac(inner, outer, _KEYSTREAM_SEED.pack(address, version, i))
             for i in range((length + _DIGEST_SIZE - 1) // _DIGEST_SIZE)
         ])[:length]
 
@@ -71,15 +100,15 @@ class MacKey:
     """Keyed MAC producing :data:`MAC_LENGTH`-byte tags."""
 
     def __init__(self, key: bytes) -> None:
+        _require_bytes(key, "MAC key")
         if len(key) < 16:
             raise SecurityError("MAC key too short")
-        self._mac = hmac.new(key, digestmod=hashlib.sha256)
+        self._inner, self._outer = _pad_states(key)
 
     def tag(self, *parts: bytes) -> bytes:
         """MAC over the concatenation of ``parts`` (length-prefixed)."""
-        mac = self._mac.copy()
-        mac.update(b"".join([_LENGTH_PREFIX.pack(len(part)) + part for part in parts]))
-        return mac.digest()[:MAC_LENGTH]
+        message = b"".join([_LENGTH_PREFIX.pack(len(part)) + part for part in parts])
+        return _hmac(self._inner, self._outer, message)[:MAC_LENGTH]
 
     def verify(self, expected: bytes, *parts: bytes) -> bool:
         """Constant-time comparison of ``expected`` against the fresh tag."""
@@ -88,11 +117,11 @@ class MacKey:
 
 def pack_counter(value: int) -> bytes:
     """Serialize a 64-bit counter for MAC input / DRAM storage."""
-    return struct.pack(">Q", value & ((1 << 64) - 1))
+    return _COUNTER.pack(value & ((1 << 64) - 1))
 
 
 def unpack_counter(data: bytes) -> int:
     """Inverse of :func:`pack_counter`."""
     if len(data) != 8:
         raise SecurityError(f"counter field must be 8 bytes, got {len(data)}")
-    return struct.unpack(">Q", data)[0]
+    return _COUNTER.unpack(data)[0]

@@ -113,6 +113,18 @@ class TreeGeometry:
         self._check_block(block)
         return self.data_offset + block * BLOCK_SIZE
 
+    def block_range_address(self, first: int, count: int) -> int:
+        """Address of block ``first`` once blocks ``first..first + count - 1`` are checked.
+
+        The range paths make this one check per transfer and derive each
+        block's address from it by arithmetic.
+        """
+        if count < 1:
+            raise SecurityError(f"empty block range at block {first}")
+        self._check_block(first)
+        self._check_block(first + count - 1)
+        return self.data_offset + first * BLOCK_SIZE
+
     def version_address(self, block: int) -> int:
         self._check_block(block)
         return self.versions_offset + block * COUNTER_BYTES
@@ -122,9 +134,10 @@ class TreeGeometry:
         return self.leaf_macs_offset + block * MAC_BYTES
 
     def node_address(self, level: int, index: int) -> int:
+        offset = self.level_offset(level)  # checks the level before indexing by it
         if not 0 <= index < self.level_counts[level - 1]:
             raise SecurityError(f"node index {index} out of range at level {level}")
-        return self.level_offset(level) + index * (COUNTER_BYTES + MAC_BYTES)
+        return offset + index * _RECORD_BYTES
 
     def _check_block(self, block: int) -> None:
         if not 0 <= block < self.data_blocks:
@@ -369,15 +382,17 @@ class IntegrityTree:
     def _write_leaves(self, first: int, versions: List[int], ciphertext: bytes) -> None:
         """Versions and data MACs of consecutive blocks, one range write each."""
         geometry = self.geometry
-        macs = []
-        for position, version in enumerate(versions):
-            start = position * BLOCK_SIZE
-            macs.append(self.mac_key.tag(
+        base = geometry.block_range_address(first, len(versions))
+        tag = self.mac_key.tag
+        macs = [
+            tag(
                 b"data",
-                pack_counter(geometry.block_address(first + position)),
+                pack_counter(base + start),
                 pack_counter(version),
                 ciphertext[start : start + BLOCK_SIZE],
-            ))
+            )
+            for start, version in zip(range(0, len(ciphertext), BLOCK_SIZE), versions)
+        ]
         self._write(geometry.version_address(first), b"".join(map(pack_counter, versions)))
         self._write(geometry.leaf_mac_address(first), b"".join(macs))
 
@@ -412,8 +427,8 @@ class IntegrityTree:
         and inserts in the same order (nodes inserted with their final
         counters, the values the last per-block insert leaves).
         """
-        geometry = self.geometry
         count = len(plaintext) // BLOCK_SIZE
+        base = self.geometry.block_range_address(first, count)
         last = first + count - 1
         spans = self.node_spans(first, last)
         counters = []
@@ -425,22 +440,25 @@ class IntegrityTree:
                 for index, (counter, _mac) in enumerate(self._read_records(level, lo, hi), lo)
             ])
         stored = self._read_counters(first, count)
+        cache = self.cache
+        path = [
+            (level, lo, level_counters)
+            for level, ((lo, _hi), level_counters) in enumerate(zip(spans, counters), 1)
+        ]
         versions = []
         ciphertext = []
         for position, block in enumerate(range(first, last + 1)):
-            cached = self.cache.lookup((0, block)) if self.cache is not None else None
+            cached = cache.lookup((0, block)) if cache is not None else None
             version = (cached if cached is not None else stored[position]) + 1
             versions.append(version)
             start = position * BLOCK_SIZE
-            ciphertext.append(encrypt(
-                geometry.block_address(block), version, plaintext[start : start + BLOCK_SIZE]
-            ))
-            if self.cache is not None:
-                self.cache.insert((0, block), version)
+            ciphertext.append(encrypt(base + start, version, plaintext[start : start + BLOCK_SIZE]))
+            if cache is not None:
+                cache.insert((0, block), version)
                 index = block
-                for level, ((lo, _hi), level_counters) in enumerate(zip(spans, counters), 1):
+                for level, lo, level_counters in path:
                     index //= ARITY
-                    self.cache.insert((level, index), level_counters[index - lo])
+                    cache.insert((level, index), level_counters[index - lo])
         sealed = b"".join(ciphertext)
         self._write_leaves(first, versions, sealed)
         self._write_nodes(spans, counters)
@@ -460,6 +478,7 @@ class IntegrityTree:
         """
         geometry = self.geometry
         count = len(ciphertext) // BLOCK_SIZE
+        base = geometry.block_range_address(first, count)
         last = first + count - 1
         stored = self._read_counters(first, count)
         leaf_macs = self._read(geometry.leaf_mac_address(first), count * MAC_BYTES)
@@ -467,22 +486,24 @@ class IntegrityTree:
             (lo, self._read_records(level, lo, hi), self._children_span(level, lo, hi))
             for level, (lo, hi) in enumerate(self.node_spans(first, last), start=1)
         ]
+        cache = self.cache
         checked: Set[Tuple[int, int, int]] = set()
         for position, block in enumerate(range(first, last + 1)):
-            cached = self.cache.lookup((0, block)) if self.cache is not None else None
+            cached = cache.lookup((0, block)) if cache is not None else None
             version = cached if cached is not None else stored[position]
+            start = position * BLOCK_SIZE
             if not self.mac_key.verify(
                 leaf_macs[position * MAC_BYTES : (position + 1) * MAC_BYTES],
                 b"data",
-                pack_counter(geometry.block_address(block)),
+                pack_counter(base + start),
                 pack_counter(version),
-                ciphertext[position * BLOCK_SIZE : (position + 1) * BLOCK_SIZE],
+                ciphertext[start : start + BLOCK_SIZE],
             ):
                 raise SecurityError(f"data MAC mismatch on block {block}")
             if cached is None:
                 self._verify_path(block, version, nodes, checked)
-                if self.cache is not None:
-                    self.cache.insert((0, block), version)
+                if cache is not None:
+                    cache.insert((0, block), version)
             yield version
 
     def _verify_path(self, block: int, leaf_version: int, nodes, checked) -> None:

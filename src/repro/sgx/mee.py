@@ -298,18 +298,21 @@ class MemoryEncryptionEngine:
         address = self.geometry.block_address(first)
         span = ((offset + length - 1) // BLOCK_SIZE - first + 1) * BLOCK_SIZE
         ciphertext, _latency = self.device.read(address, span)
+        decrypt = self._cipher.decrypt
         plaintext = []
         try:
             for position, version in enumerate(self.tree.verify_range(first, ciphertext)):
-                self.stats.crypto_latency_ps += self.CRYPTO_LATENCY_PS
-                self.stats.blocks_read += 1
                 start = position * BLOCK_SIZE
-                plaintext.append(self._cipher.decrypt(
-                    address + start, version, ciphertext[start : start + BLOCK_SIZE]
-                ))
+                plaintext.append(
+                    decrypt(address + start, version, ciphertext[start : start + BLOCK_SIZE])
+                )
         except SecurityError:
             self.stats.integrity_violations += 1
             raise
+        finally:
+            # every block verify_range yielded was verified and decrypted
+            self.stats.crypto_latency_ps += len(plaintext) * self.CRYPTO_LATENCY_PS
+            self.stats.blocks_read += len(plaintext)
         self.stats.bytes_read += length
         start = offset % BLOCK_SIZE
         data = b"".join(plaintext)[start : start + length]

@@ -159,6 +159,15 @@ class TestBuildReport:
             ("parallel_sweep_fig6b", "speedup")
         ]
 
+    @pytest.mark.parametrize("wall_s, drifts", [(0.072, False), (0.5, True)])
+    def test_bulk_mee_wall_ceiling(self, tmp_path, store, wall_s, drifts):
+        """A slowdown of both MEE paths alike keeps the speedup but trips the wall."""
+        store.append(fig2_record())
+        bench = bench_file(tmp_path, mee_bulk_context_200kb={"wall_s": wall_s, "speedup": 5.9})
+        report = build_report(bench_path=bench)
+        drifted = [(f["bench"], f["metric"]) for f in report["findings"] if not f["within"]]
+        assert drifted == ([("mee_bulk_context_200kb", "wall_s")] if drifts else [])
+
     def test_bench_policy_skip_marker_skips_not_drifts(self, tmp_path, store):
         """A single-CPU harness records speedup with a policy_skip reason."""
         store.append(fig2_record())

@@ -66,6 +66,21 @@ class TestGeometry:
         with pytest.raises(SecurityError):
             geometry.node_address(1, 10**6)
 
+    @pytest.mark.parametrize("level", [0, -1, 5])
+    def test_out_of_range_level_is_a_security_error(self, level):
+        geometry = TreeGeometry.for_data_size(0, 3200 * BLOCK_SIZE)
+        assert geometry.levels == 4
+        with pytest.raises(SecurityError, match="level"):
+            geometry.node_address(level, 0)
+
+    def test_block_range_is_checked_once_at_both_ends(self):
+        geometry = TreeGeometry.for_data_size(REGION_BASE, 4096)
+        blocks = geometry.data_blocks
+        assert geometry.block_range_address(2, blocks - 2) == geometry.block_address(2)
+        for first, count in ((-1, 2), (1, blocks), (0, 0)):
+            with pytest.raises(SecurityError):
+                geometry.block_range_address(first, count)
+
     def test_invalid_size_rejected(self):
         with pytest.raises(SecurityError):
             TreeGeometry.for_data_size(0, 0)
