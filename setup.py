@@ -21,6 +21,5 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

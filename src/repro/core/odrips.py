@@ -16,11 +16,13 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.config import PlatformConfig, StandbyWorkloadConfig, skylake_config
 from repro.core.techniques import TechniqueSet
+from repro.errors import ConfigError
 from repro.obs.profile import host_phase
 from repro.effects import declares_effects
 from repro.obs.hook import active
@@ -81,6 +83,14 @@ class StandbyMeasurement:
         return 1.0 - self.average_power_w / baseline.average_power_w
 
 
+def _check_sweep_frequencies(
+    core_freq_ghz: Optional[float], dram_rate_hz: Optional[float]
+) -> None:
+    for name, value in (("core_freq_ghz", core_freq_ghz), ("dram_rate_hz", dram_rate_hz)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be a positive finite number: {value!r}")
+
+
 class ODRIPSController:
     """Builds a platform for a technique set and runs measurements.
 
@@ -133,11 +143,15 @@ class ODRIPSController:
 
         With a :attr:`cache` configured, identical configurations return
         the memoized :class:`StandbyMeasurement` without re-simulating.
+        A ``core_freq_ghz`` or ``dram_rate_hz`` that is not a positive
+        finite number raises :class:`~repro.errors.ConfigError` before
+        any platform is built or cache entry looked up.
 
         When a flight recorder is installed
         (``obs.observe(recorder=...)``) the measurement's host
         wall time and cache-hit status are contributed to the run record.
         """
+        _check_sweep_frequencies(core_freq_ghz, dram_rate_hz)
         recorder = active().recorder
         start_s = host_wall_s() if recorder is not None else 0.0
         label = self.techniques.label()
@@ -191,6 +205,7 @@ class ODRIPSController:
         Takes :meth:`measure`'s arguments, uncached; ``period_s`` pins
         wakes to a fixed grid (the break-even sweep schedule of Sec. 7).
         """
+        _check_sweep_frequencies(core_freq_ghz, dram_rate_hz)
         with host_phase("build"):
             platform = self.build_platform()
             if core_freq_ghz is not None:

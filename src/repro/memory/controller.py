@@ -77,43 +77,63 @@ class MemoryController:
 
     # --- data path ----------------------------------------------------------------
 
-    def read(self, address: int, length: int) -> Tuple[bytes, int]:
-        """Read ``length`` bytes; returns ``(data, latency_ps)``."""
+    def _route(self, address: int, length: int, write: bool) -> Optional[int]:
+        """Check and count one access; returns its region offset when the
+        range register sends it through the MEE, else None."""
         self._check_powered()
-        if self.range_register.straddles(address, length):
+        rr = self.range_register
+        if rr.straddles(address, length):
             raise MemoryFault(
                 f"{self.name}: access [{address}, {address + length}) straddles "
                 "the protected-region boundary"
             )
-        self.stats.reads += 1
-        self.stats.bytes_read += length
-        if self.range_register.matches(address, length):
-            if self.mee is None:
-                raise MemoryFault(f"{self.name}: protected access without an MEE")
+        if write:
+            self.stats.writes += 1
+            self.stats.bytes_written += length
+        else:
+            self.stats.reads += 1
+            self.stats.bytes_read += length
+        if not rr.matches(address, length):
+            return None
+        if self.mee is None:
+            raise MemoryFault(f"{self.name}: protected access without an MEE")
+        if write:
+            self.stats.protected_writes += 1
+        else:
             self.stats.protected_reads += 1
-            region = self.range_register.region
-            assert region is not None
-            return self.mee.read(address - region.base, length)
-        return self.device.read(address, length)
+        region = rr.region
+        assert region is not None
+        return address - region.base
+
+    def read(self, address: int, length: int) -> Tuple[bytes, int]:
+        """Read ``length`` bytes; returns ``(data, latency_ps)``."""
+        offset = self._route(address, length, write=False)
+        if offset is None:
+            return self.device.read(address, length)
+        return self.mee.read(offset, length)
 
     def write(self, address: int, data: bytes) -> int:
         """Write bytes; returns the access latency in picoseconds."""
-        self._check_powered()
-        if self.range_register.straddles(address, len(data)):
-            raise MemoryFault(
-                f"{self.name}: access [{address}, {address + len(data)}) straddles "
-                "the protected-region boundary"
-            )
-        self.stats.writes += 1
-        self.stats.bytes_written += len(data)
-        if self.range_register.matches(address, len(data)):
-            if self.mee is None:
-                raise MemoryFault(f"{self.name}: protected access without an MEE")
-            self.stats.protected_writes += 1
-            region = self.range_register.region
-            assert region is not None
-            return self.mee.write(address - region.base, data)
-        return self.device.write(address, data)
+        offset = self._route(address, len(data), write=True)
+        if offset is None:
+            return self.device.write(address, data)
+        return self.mee.write(offset, data)
+
+    def bulk_read(self, address: int, length: int) -> Tuple[bytes, int]:
+        """:meth:`read` for a context-restore FSM: a protected range goes
+        through the MEE's pipelined bulk path."""
+        offset = self._route(address, length, write=False)
+        if offset is None:
+            return self.device.read(address, length)
+        return self.mee.bulk_read(offset, length)
+
+    def bulk_write(self, address: int, data: bytes) -> int:
+        """:meth:`write` for a context-save FSM: a protected range goes
+        through the MEE's pipelined bulk path."""
+        offset = self._route(address, len(data), write=True)
+        if offset is None:
+            return self.device.write(address, data)
+        return self.mee.bulk_write(offset, data)
 
     # --- self-refresh control ---------------------------------------------------------
 

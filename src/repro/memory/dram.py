@@ -48,7 +48,6 @@ class DRAMDevice:
         bus_efficiency: float = 0.7,
         self_refresh_watts_per_gib: float = 0.0055,
         active_standby_watts_per_gib: float = 0.055,
-        access_energy_pj_per_byte_at_1600: float = 40.0,
         base_access_latency_ps: int = 50_000,  # ~50 ns closed-page access
         power_component: Optional[Component] = None,
     ) -> None:
@@ -61,17 +60,15 @@ class DRAMDevice:
         self.bus_efficiency = bus_efficiency
         self.self_refresh_watts_per_gib = self_refresh_watts_per_gib
         self.active_standby_watts_per_gib = active_standby_watts_per_gib
-        self.access_energy_pj_per_byte_at_1600 = access_energy_pj_per_byte_at_1600
         self.base_access_latency_ps = base_access_latency_ps
         self.power_component = power_component
         self._store = SparseMemory(capacity_bytes)
         self._state = DRAMState.ACTIVE
-        self.access_energy_joules = 0.0
         self.bytes_read = 0
         self.bytes_written = 0
-        #: ``(energy_joules, latency_ps)`` per access length at the
-        #: current frequency; :meth:`set_frequency` drops it.
-        self._costs: Dict[int, Tuple[float, int]] = {}
+        #: Latency in picoseconds per access length at the current
+        #: frequency; :meth:`set_frequency` drops it.
+        self._costs: Dict[int, int] = {}
         self._update_power()
 
     # --- derived quantities ------------------------------------------------
@@ -162,19 +159,12 @@ class DRAMDevice:
         streaming = length / self.bandwidth_bytes_per_s() * PICOSECONDS_PER_SECOND
         return self.base_access_latency_ps + round(streaming)
 
-    def _access_energy(self, length: int) -> float:
-        # Energy per byte falls slightly at lower frequency (less interface
-        # toggling), dominated by the array energy which is constant.
-        scale = 0.7 + 0.3 * self._frequency_scale()
-        return self.access_energy_pj_per_byte_at_1600 * 1e-12 * length * scale
-
-    def _cost(self, length: int) -> Tuple[float, int]:
-        """``(energy_joules, latency_ps)`` of one ``length``-byte access."""
-        cost = self._costs.get(length)
-        if cost is None:
-            cost = (self._access_energy(length), self.transfer_latency_ps(length))
-            self._costs[length] = cost
-        return cost
+    def _cost(self, length: int) -> int:
+        """Memoized latency of one ``length``-byte access."""
+        latency_ps = self._costs.get(length)
+        if latency_ps is None:
+            latency_ps = self._costs[length] = self.transfer_latency_ps(length)
+        return latency_ps
 
     def read(self, address: int, length: int) -> tuple:
         """Read bytes; returns ``(data, latency_ps)``."""
@@ -185,7 +175,7 @@ class DRAMDevice:
         """Read several ``(address, length)`` spans; returns ``(chunks, latency_ps)``.
 
         The one charging path of reads: each span is checked, read and
-        charged (``bytes_read``, one energy addition) exactly as a lone
+        charged (``bytes_read``) exactly as a lone
         :meth:`read` would be, in order, and the latencies are summed.
         A fault leaves the spans before it charged.
         """
@@ -195,17 +185,13 @@ class DRAMDevice:
         latency_ps = 0
         for address, length in spans:
             chunks.append(self._store.read(address, length))
-            energy, span_latency_ps = self._costs.get(length) or self._cost(length)
             self.bytes_read += length
-            self.access_energy_joules += energy
-            latency_ps += span_latency_ps
+            latency_ps += self._costs.get(length) or self._cost(length)
         return chunks, latency_ps
 
     def write(self, address: int, data: bytes) -> int:
         """Write bytes; returns the transfer latency in picoseconds."""
         self._check_accessible()
         self._store.write(address, data)
-        energy, latency_ps = self._cost(len(data))
         self.bytes_written += len(data)
-        self.access_energy_joules += energy
-        return latency_ps
+        return self._cost(len(data))

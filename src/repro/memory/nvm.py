@@ -34,8 +34,6 @@ class NVMDevice:
         capacity_bytes: int,
         read_bandwidth_bytes_per_s: float,
         write_bandwidth_bytes_per_s: float,
-        read_energy_pj_per_byte: float,
-        write_energy_pj_per_byte: float,
         base_read_latency_ps: int,
         base_write_latency_ps: int,
         standby_watts: float = 0.0,
@@ -46,8 +44,6 @@ class NVMDevice:
         self.capacity_bytes = capacity_bytes
         self.read_bandwidth_bytes_per_s = read_bandwidth_bytes_per_s
         self.write_bandwidth_bytes_per_s = write_bandwidth_bytes_per_s
-        self.read_energy_pj_per_byte = read_energy_pj_per_byte
-        self.write_energy_pj_per_byte = write_energy_pj_per_byte
         self.base_read_latency_ps = base_read_latency_ps
         self.base_write_latency_ps = base_write_latency_ps
         self.standby_watts = standby_watts
@@ -61,7 +57,6 @@ class NVMDevice:
         self._store = SparseMemory(capacity_bytes)
         self._powered = True
         self._interface_active = False
-        self.access_energy_joules = 0.0
         self.bytes_read = 0
         self.bytes_written = 0
         self.max_writes_per_region = 0
@@ -115,7 +110,7 @@ class NVMDevice:
         """Read several ``(address, length)`` spans; returns ``(chunks, latency_ps)``.
 
         The one charging path of reads: each span is checked, read and
-        charged (``bytes_read``, one energy addition) exactly as a lone
+        charged (``bytes_read``) exactly as a lone
         :meth:`read` would be, in order, and the latencies are summed.
         A fault leaves the spans before it charged.
         """
@@ -126,7 +121,6 @@ class NVMDevice:
         for address, length in spans:
             chunks.append(self._store.read(address, length))
             self.bytes_read += length
-            self.access_energy_joules += self.read_energy_pj_per_byte * 1e-12 * length
             streaming = length / self.read_bandwidth_bytes_per_s * PICOSECONDS_PER_SECOND
             latency_ps += self.base_read_latency_ps + round(streaming)
         return chunks, latency_ps
@@ -136,7 +130,6 @@ class NVMDevice:
         self._check_powered()
         self._store.write(address, data)
         self.bytes_written += len(data)
-        self.access_energy_joules += self.write_energy_pj_per_byte * 1e-12 * len(data)
         first_region = address // 4096
         last_region = (address + max(len(data) - 1, 0)) // 4096
         for region in range(first_region, last_region + 1):
@@ -162,7 +155,7 @@ class PCMDevice(NVMDevice):
 
     Parameters follow the PCM literature the paper cites (Lee et al.,
     Qureshi et al.): reads a few times slower than DRAM, writes an order
-    of magnitude slower and more energetic, endurance around 1e8 writes.
+    of magnitude slower, endurance around 1e8 writes.
     """
 
     def __init__(
@@ -176,8 +169,6 @@ class PCMDevice(NVMDevice):
             capacity_bytes=capacity_bytes,
             read_bandwidth_bytes_per_s=6.0e9,
             write_bandwidth_bytes_per_s=1.5e9,
-            read_energy_pj_per_byte=80.0,
-            write_energy_pj_per_byte=600.0,
             base_read_latency_ps=150_000,       # ~150 ns
             base_write_latency_ps=1_000_000,    # ~1 us
             standby_watts=0.0,                  # no refresh, no CKE
@@ -205,8 +196,6 @@ class EMRAMDevice(NVMDevice):
             capacity_bytes=capacity_bytes,
             read_bandwidth_bytes_per_s=20.0e9,
             write_bandwidth_bytes_per_s=10.0e9,
-            read_energy_pj_per_byte=1.0,
-            write_energy_pj_per_byte=2.0,
             base_read_latency_ps=5_000,     # ~5 ns
             base_write_latency_ps=10_000,   # ~10 ns
             standby_watts=0.0,

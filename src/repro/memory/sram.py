@@ -37,8 +37,9 @@ class SRAMDevice:
 
     ``leakage_watts_per_byte`` is the *retention-voltage* leakage of the
     array's process.  Operational leakage is higher by
-    ``operational_leakage_factor`` (full supply voltage), and access adds
-    dynamic power while the array is being exercised.
+    ``operational_leakage_factor`` (full supply voltage).  Accesses cost
+    no energy here: a context transfer is priced by the power its flow
+    holds on the rail.
     """
 
     #: Retention leakage ratio, performance process vs low-power process
@@ -52,7 +53,6 @@ class SRAMDevice:
         leakage_watts_per_byte: float,
         power_component: Optional[Component] = None,
         operational_leakage_factor: float = 2.5,
-        access_energy_pj_per_byte: float = 0.5,
     ) -> None:
         if leakage_watts_per_byte < 0:
             raise MemoryFault(f"{name}: negative leakage")
@@ -60,11 +60,9 @@ class SRAMDevice:
         self.capacity_bytes = capacity_bytes
         self.leakage_watts_per_byte = leakage_watts_per_byte
         self.operational_leakage_factor = operational_leakage_factor
-        self.access_energy_pj_per_byte = access_energy_pj_per_byte
         self.power_component = power_component
         self._store = SparseMemory(capacity_bytes)
         self._state = SRAMState.OPERATIONAL
-        self.access_energy_joules = 0.0
         self._update_power()
 
     # --- power states -------------------------------------------------------
@@ -123,13 +121,11 @@ class SRAMDevice:
     def read(self, address: int, length: int) -> bytes:
         """Read bytes (operational state only)."""
         self._check_accessible()
-        self.access_energy_joules += self.access_energy_pj_per_byte * 1e-12 * length
         return self._store.read(address, length)
 
     def write(self, address: int, data: bytes) -> None:
         """Write bytes (operational state only)."""
         self._check_accessible()
-        self.access_energy_joules += self.access_energy_pj_per_byte * 1e-12 * len(data)
         self._store.write(address, data)
 
     @classmethod

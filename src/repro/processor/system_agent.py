@@ -79,44 +79,22 @@ class SystemAgent:
         """
         self._require_configured()
         assert self.sa_base_addr is not None
-        return self._bulk_write(self.sa_base_addr, blob)
+        return self.controller.bulk_write(self.sa_base_addr, blob)
 
     def sa_fsm_restore(self, length: int) -> Tuple[bytes, int]:
         """SA FSM: read the SA context back; returns ``(blob, latency)``."""
         self._require_configured()
         assert self.sa_base_addr is not None
-        return self._bulk_read(self.sa_base_addr, length)
+        return self.controller.bulk_read(self.sa_base_addr, length)
 
     def llc_fsm_flush(self, blob: bytes) -> int:
         """LLC FSM: write the cores + graphics context."""
         self._require_configured()
         assert self.compute_base_addr is not None
-        return self._bulk_write(self.compute_base_addr, blob)
+        return self.controller.bulk_write(self.compute_base_addr, blob)
 
     def llc_fsm_restore(self, length: int) -> Tuple[bytes, int]:
         """LLC FSM: read the cores + graphics context back."""
         self._require_configured()
         assert self.compute_base_addr is not None
-        return self._bulk_read(self.compute_base_addr, length)
-
-    def _bulk_write(self, address: int, blob: bytes) -> int:
-        rr = self.controller.range_register
-        if rr.matches(address, len(blob)) and self.controller.mee is not None:
-            region = rr.region
-            assert region is not None
-            self.controller.stats.writes += 1
-            self.controller.stats.bytes_written += len(blob)
-            self.controller.stats.protected_writes += 1
-            return self.controller.mee.bulk_write(address - region.base, blob)
-        return self.controller.write(address, blob)
-
-    def _bulk_read(self, address: int, length: int) -> Tuple[bytes, int]:
-        rr = self.controller.range_register
-        if rr.matches(address, length) and self.controller.mee is not None:
-            region = rr.region
-            assert region is not None
-            self.controller.stats.reads += 1
-            self.controller.stats.bytes_read += length
-            self.controller.stats.protected_reads += 1
-            return self.controller.mee.bulk_read(address - region.base, length)
-        return self.controller.read(address, length)
+        return self.controller.bulk_read(self.compute_base_addr, length)

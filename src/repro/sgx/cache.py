@@ -66,14 +66,6 @@ class MEECache:
             self.evictions += 1
         line[key] = counter
 
-    def invalidate(self, key: CacheKey) -> None:
-        """Drop one entry.
-
-        No engine path calls this: a write re-inserts the bumped counter
-        with :meth:`insert` instead.
-        """
-        self._set_of(key).pop(key, None)
-
     def flush(self) -> None:
         """Drop everything (MEE power cycle)."""
         for line in self._lines.values():

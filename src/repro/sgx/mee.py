@@ -13,7 +13,7 @@ hits, which is what the cache-size ablation measures.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import SecurityError
@@ -24,14 +24,12 @@ from repro.sgx.integrity_tree import BLOCK_SIZE, IntegrityTree, TreeGeometry
 
 @dataclass
 class MEEStats:
-    """Cumulative traffic and timing statistics of the engine."""
+    """Cumulative traffic statistics of the engine."""
 
     bytes_written: int = 0
     bytes_read: int = 0
     blocks_written: int = 0
     blocks_read: int = 0
-    data_latency_ps: int = 0
-    crypto_latency_ps: int = 0
     integrity_violations: int = 0
 
     def reset(self) -> None:
@@ -39,8 +37,6 @@ class MEEStats:
         self.bytes_read = 0
         self.blocks_written = 0
         self.blocks_read = 0
-        self.data_latency_ps = 0
-        self.crypto_latency_ps = 0
         self.integrity_violations = 0
 
 
@@ -50,9 +46,6 @@ class MemoryEncryptionEngine:
     #: Crypto pipeline latency per 64-byte block (~25 ns: AES pipeline
     #: depth at memory-controller clock; same order as Gueron reports).
     CRYPTO_LATENCY_PS = 25_000
-
-    #: Dynamic energy of the engine per byte processed (pJ/byte).
-    CRYPTO_ENERGY_PJ_PER_BYTE = 5.0
 
     def __init__(
         self,
@@ -176,7 +169,6 @@ class MemoryEncryptionEngine:
         self.tree.update_block(block, version, ciphertext)
         latency += self.tree.metadata_latency_ps - before
         latency += self.CRYPTO_LATENCY_PS
-        self.stats.crypto_latency_ps += self.CRYPTO_LATENCY_PS
         self.stats.blocks_written += 1
         return latency
 
@@ -209,7 +201,6 @@ class MemoryEncryptionEngine:
             raise
         latency += self.tree.metadata_latency_ps - before
         latency += self.CRYPTO_LATENCY_PS
-        self.stats.crypto_latency_ps += self.CRYPTO_LATENCY_PS
         self.stats.blocks_read += 1
         plaintext = self._cipher.decrypt(address, version, ciphertext)
         return plaintext, latency
@@ -264,9 +255,7 @@ class MemoryEncryptionEngine:
             first = (offset + head) // BLOCK_SIZE
             ciphertext = self.tree.update_range(first, data[head:tail], self._cipher.encrypt)
             self.device.write(self.geometry.block_address(first), ciphertext)
-            committed = (tail - head) // BLOCK_SIZE
-            self.stats.crypto_latency_ps += committed * self.CRYPTO_LATENCY_PS
-            self.stats.blocks_written += committed
+            self.stats.blocks_written += (tail - head) // BLOCK_SIZE
         if tail < len(data):
             self._write_block((offset + tail) // BLOCK_SIZE, 0, data[tail:])
         self.stats.bytes_written += len(data)
@@ -311,7 +300,6 @@ class MemoryEncryptionEngine:
             raise
         finally:
             # every block verify_range yielded was verified and decrypted
-            self.stats.crypto_latency_ps += len(plaintext) * self.CRYPTO_LATENCY_PS
             self.stats.blocks_read += len(plaintext)
         self.stats.bytes_read += length
         start = offset % BLOCK_SIZE
@@ -322,10 +310,3 @@ class MemoryEncryptionEngine:
         bus_bytes = length + leaf_bytes + node_bytes
         streaming = bus_bytes / self._bandwidth(write=False) * 1e12
         return data, self.BULK_FILL_LATENCY_PS + round(streaming)
-
-    # --- accounting -----------------------------------------------------------------
-
-    def crypto_energy_joules(self) -> float:
-        """Dynamic energy the engine consumed on its crypto pipeline."""
-        processed = self.stats.bytes_read + self.stats.bytes_written
-        return processed * self.CRYPTO_ENERGY_PJ_PER_BYTE * 1e-12

@@ -52,6 +52,27 @@ class TestController:
         )
         assert result.cycles == 2
 
+    @pytest.mark.parametrize("method", ["measure", "measure_raw"])
+    @pytest.mark.parametrize(
+        "argument",
+        [
+            {"core_freq_ghz": -1.0},
+            {"dram_rate_hz": 0.0},
+            {"core_freq_ghz": float("nan")},
+            {"dram_rate_hz": float("inf")},
+        ],
+        ids=["core-negative", "dram-zero", "core-nan", "dram-inf"],
+    )
+    def test_bad_sweep_frequency_rejected_before_build(self, monkeypatch, method, argument):
+        controller = ODRIPSController(TechniqueSet.odrips(), config=small_context_config())
+
+        def no_build(**_kwargs):
+            raise AssertionError("platform built for a bad frequency")
+
+        monkeypatch.setattr(controller, "build_platform", no_build)
+        with pytest.raises(ConfigError):
+            getattr(controller, method)(cycles=1, **argument)
+
 
 class TestStandbyMeasurement:
     def test_saving_vs(self):

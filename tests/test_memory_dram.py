@@ -69,12 +69,6 @@ class TestPower:
         dram.set_frequency(0.8e9)
         assert dram.active_standby_power_watts() < at_full
 
-    def test_access_energy_accumulates(self):
-        dram = make_dram()
-        dram.write(0, bytes(4096))
-        assert dram.access_energy_joules > 0
-        assert dram.bytes_written == 4096
-
 
 class TestTimingAndFrequency:
     def test_bandwidth_formula(self):

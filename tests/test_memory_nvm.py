@@ -39,10 +39,6 @@ class TestAsymmetry:
         _, read_latency = pcm.read(0, 64 * 1024)
         assert write_latency > read_latency
 
-    def test_pcm_writes_cost_more_energy(self):
-        pcm = PCMDevice(capacity_bytes=1 << 20)
-        assert pcm.write_energy_pj_per_byte > pcm.read_energy_pj_per_byte
-
     def test_emram_faster_than_pcm(self):
         """Sec. 8.3 assumes an optimistic, SRAM-comparable eMRAM."""
         pcm = PCMDevice(capacity_bytes=1 << 20)
@@ -53,9 +49,7 @@ class TestAsymmetry:
 
 class TestEndurance:
     def test_wear_counted_per_region(self):
-        device = NVMDevice(
-            "nvm", 1 << 20, 1e9, 1e9, 1.0, 1.0, 0, 0, endurance_cycles=3
-        )
+        device = NVMDevice("nvm", 1 << 20, 1e9, 1e9, 0, 0, endurance_cycles=3)
         for _ in range(3):
             device.write(0, b"x")
         assert device.max_writes_per_region == 3
@@ -63,7 +57,7 @@ class TestEndurance:
             device.write(0, b"x")
 
     def test_wear_level_report(self):
-        device = NVMDevice("nvm", 1 << 20, 1e9, 1e9, 1.0, 1.0, 0, 0)
+        device = NVMDevice("nvm", 1 << 20, 1e9, 1e9, 0, 0)
         device.write(0, b"x")
         device.write(8192, b"y")
         report = device.wear_level_report()
@@ -79,6 +73,6 @@ class TestEndurance:
         assert pcm.endurance_cycles == 100_000_000
 
     def test_tracking_counts_all_touched_regions(self):
-        device = NVMDevice("nvm", 1 << 20, 1e9, 1e9, 1.0, 1.0, 0, 0)
+        device = NVMDevice("nvm", 1 << 20, 1e9, 1e9, 0, 0)
         device.write(4000, bytes(500))  # spans regions 0 and 1
         assert device.wear_level_report() == {0: 1, 1: 1}

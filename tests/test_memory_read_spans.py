@@ -2,13 +2,13 @@
 
 Twin devices receive the same writes.  One reads a list of spans with a
 single ``read_spans`` call; the other reads the same spans one ``read``
-at a time, with DRAM's per-length cost memo cleared before every read,
-which is the unmemoized charge.  Words, summed latency, ``bytes_read``
-and ``access_energy_joules`` must agree bit for bit, also when a span
-crosses a page boundary, reads a page never written, follows a
-``set_frequency``, or faults (out of range, self-refresh, powered-off
-NVM) after earlier spans were charged.  Words are also checked against a
-plain shadow copy of everything written.
+at a time, with DRAM's per-length latency memo cleared before every read,
+which is the unmemoized charge.  Words, summed latency and
+``bytes_read`` must agree bit for bit, also when a span crosses a page
+boundary, reads a page never written, follows a ``set_frequency``, or
+faults (out of range, self-refresh, powered-off NVM) after earlier spans
+were charged.  Words are also checked against a plain shadow copy of
+everything written.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -28,7 +28,7 @@ def make_device(kind):
 
 
 def per_span_reads(device, spans):
-    """One ``read`` per span, with no cost memo carried between them."""
+    """One ``read`` per span, with no latency memo carried between them."""
     chunks, latency = [], 0
     for address, length in spans:
         if isinstance(device, DRAMDevice):
@@ -40,12 +40,12 @@ def per_span_reads(device, spans):
 
 
 def outcome(read, device, spans):
-    """What a read returns, or the fault it raised, plus the charged counters."""
+    """What a read returns, or the fault it raised, plus the bytes charged."""
     try:
         result = read(device, spans)
     except MemoryFault as fault:
         result = ("fault", str(fault))
-    return result, device.bytes_read, device.access_energy_joules.hex()
+    return result, device.bytes_read
 
 
 def span_read(device, spans):

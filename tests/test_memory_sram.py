@@ -81,12 +81,6 @@ class TestPower:
             sram2.retention_power_watts() * sram2.operational_leakage_factor
         )
 
-    def test_access_energy_accumulates(self):
-        sram = make_sram()
-        before = sram.access_energy_joules
-        sram.write(0, bytes(100))
-        assert sram.access_energy_joules > before
-
     def test_chipset_process_leaks_5x_less(self):
         """Sec. 3 Observation 3: processor SRAM leaks ~5x chipset SRAM."""
         processor_leak = 1e-8

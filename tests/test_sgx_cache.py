@@ -22,12 +22,6 @@ class TestLookup:
         assert cache.lookup((1, 0)) == 2
         assert cache.occupancy == 1
 
-    def test_invalidate(self):
-        cache = MEECache()
-        cache.insert((0, 5), 9)
-        cache.invalidate((0, 5))
-        assert cache.lookup((0, 5)) is None
-
     def test_flush(self):
         cache = MEECache()
         for index in range(10):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import FlowError
+from repro.errors import FlowError, MemoryFault
 from repro.memory.controller import MemoryController
 from repro.memory.dram import DRAMDevice
 from repro.memory.region import MemoryRegion
@@ -103,3 +103,18 @@ class TestFSMs:
         assert stats.protected_writes == 1
         assert stats.protected_reads == 1
         assert stats.bytes_written == len(blob)
+
+    def test_bulk_transfer_while_controller_off_faults(self):
+        """The FSMs route through the controller, so a powered-off
+        controller refuses a bulk save or restore before the MEE runs."""
+        sa, _ = make_sa()
+        blob = sa.capture_context()
+        sa.sa_fsm_flush(blob)
+        mee_blocks = sa.controller.mee.stats.blocks_written
+        sa.controller.power_off()
+        with pytest.raises(MemoryFault):
+            sa.sa_fsm_flush(blob)
+        with pytest.raises(MemoryFault):
+            sa.sa_fsm_restore(len(blob))
+        assert sa.controller.mee.stats.blocks_written == mee_blocks
+        assert sa.controller.mee.stats.blocks_read == 0
