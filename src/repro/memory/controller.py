@@ -79,7 +79,8 @@ class MemoryController:
 
     def _route(self, address: int, length: int, write: bool) -> Optional[int]:
         """Check and count one access; returns its region offset when the
-        range register sends it through the MEE, else None."""
+        range register sends it through the MEE, else None.  An access
+        that faults here is not counted."""
         self._check_powered()
         rr = self.range_register
         if rr.straddles(address, length):
@@ -87,20 +88,19 @@ class MemoryController:
                 f"{self.name}: access [{address}, {address + length}) straddles "
                 "the protected-region boundary"
             )
+        protected = rr.matches(address, length)
+        if protected and self.mee is None:
+            raise MemoryFault(f"{self.name}: protected access without an MEE")
         if write:
             self.stats.writes += 1
             self.stats.bytes_written += length
+            self.stats.protected_writes += protected
         else:
             self.stats.reads += 1
             self.stats.bytes_read += length
-        if not rr.matches(address, length):
+            self.stats.protected_reads += protected
+        if not protected:
             return None
-        if self.mee is None:
-            raise MemoryFault(f"{self.name}: protected access without an MEE")
-        if write:
-            self.stats.protected_writes += 1
-        else:
-            self.stats.protected_reads += 1
         region = rr.region
         assert region is not None
         return address - region.base

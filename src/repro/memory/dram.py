@@ -195,3 +195,17 @@ class DRAMDevice:
         self._store.write(address, data)
         self.bytes_written += len(data)
         return self._cost(len(data))
+
+    # --- charges without the bytes (the MEE's deferred bulk transfers) --------------
+
+    def charge_read(self, address: int, length: int) -> int:
+        """Check and charge a ``length``-byte read as :meth:`read` would, reading nothing."""
+        self._check_accessible()
+        self.bytes_read += length
+        return self._cost(length)
+
+    def charge_write(self, address: int, length: int) -> int:
+        """Check and charge a ``length``-byte write as :meth:`write` would, storing nothing."""
+        self._check_accessible()
+        self.bytes_written += length
+        return self._cost(length)

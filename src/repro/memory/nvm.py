@@ -121,17 +121,41 @@ class NVMDevice:
         for address, length in spans:
             chunks.append(self._store.read(address, length))
             self.bytes_read += length
-            streaming = length / self.read_bandwidth_bytes_per_s * PICOSECONDS_PER_SECOND
-            latency_ps += self.base_read_latency_ps + round(streaming)
+            latency_ps += self._read_cost(length)
         return chunks, latency_ps
 
+    def _read_cost(self, length: int) -> int:
+        """Latency in picoseconds of one ``length``-byte read."""
+        streaming = length / self.read_bandwidth_bytes_per_s * PICOSECONDS_PER_SECOND
+        return self.base_read_latency_ps + round(streaming)
+
     def write(self, address: int, data: bytes) -> int:
-        """Write bytes; returns latency and tracks endurance per 4 KiB region."""
+        """Write bytes; returns latency and tracks endurance per 4 KiB region.
+
+        The bytes are stored before the endurance check, which may raise.
+        """
         self._check_powered()
         self._store.write(address, data)
-        self.bytes_written += len(data)
+        return self.charge_write(address, len(data))
+
+    # --- charges without the bytes (the MEE's deferred bulk transfers) --------------
+
+    def charge_read(self, address: int, length: int) -> int:
+        """Check and charge a ``length``-byte read as :meth:`read` would, reading nothing."""
+        self._check_powered()
+        self.bytes_read += length
+        return self._read_cost(length)
+
+    def charge_write(self, address: int, length: int) -> int:
+        """Check and charge a ``length``-byte write as :meth:`write` would, storing nothing.
+
+        Counts the write against every 4 KiB region it covers and raises
+        :class:`~repro.errors.MemoryFault` past the endurance limit.
+        """
+        self._check_powered()
+        self.bytes_written += length
         first_region = address // 4096
-        last_region = (address + max(len(data) - 1, 0)) // 4096
+        last_region = (address + max(length - 1, 0)) // 4096
         for region in range(first_region, last_region + 1):
             count = self._write_counts.get(region, 0) + 1
             self._write_counts[region] = count
@@ -142,7 +166,7 @@ class NVMDevice:
                     f"{self.name}: endurance exceeded on region {region} "
                     f"({count} > {self.endurance_cycles} writes)"
                 )
-        streaming = len(data) / self.write_bandwidth_bytes_per_s * PICOSECONDS_PER_SECOND
+        streaming = length / self.write_bandwidth_bytes_per_s * PICOSECONDS_PER_SECOND
         return self.base_write_latency_ps + round(streaming)
 
     def wear_level_report(self) -> dict:

@@ -4,11 +4,19 @@ Devices up to gigabytes are modeled without allocating their capacity:
 pages materialize on first write.  Reads of never-written bytes return the
 device's fill value (DRAM powers up with undefined content; we use 0 for
 determinism).
+
+A store has one deferral slot.  An owner that has taken writes without
+storing their bytes yet (the MEE's bulk path, :mod:`repro.sgx.mee`)
+passes the spans those bytes will occupy to :meth:`SparseMemory.defer`.
+Any ``read``, ``write`` or ``erase`` that overlaps one first calls the
+owner's ``materialize()``, which stores them.  So every reader of the
+store, a tamper test writing to it included, sees the bytes as if they
+had been stored when they were written.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import MemoryFault
 
@@ -26,6 +34,46 @@ class SparseMemory:
         self.capacity_bytes = capacity_bytes
         self.fill = fill
         self._pages: Dict[int, bytearray] = {}
+        #: ``(owner, spans)`` while an owner holds bytes it has not
+        #: stored, else None, and then an access pays one attribute test
+        self._deferred: Optional[Tuple[object, Sequence[Tuple[int, int]]]] = None
+
+    # --- deferral -------------------------------------------------------------
+
+    def defer(self, owner, spans: Sequence[Tuple[int, int]]) -> None:
+        """Hold the ``(address, length)`` ``spans`` for ``owner``.
+
+        Until :meth:`release`, any access that overlaps a span calls
+        ``owner.materialize()`` first; it must release the slot, then
+        write the bytes.  Another owner's deferral is settled first.
+        """
+        if self._deferred is not None and self._deferred[0] is not owner:
+            self._deferred[0].materialize()
+        self._deferred = (owner, spans)
+
+    def release(self) -> None:
+        """Empty the deferral slot (the owner is storing its bytes)."""
+        self._deferred = None
+
+    def _settle(self, address: int, length: int) -> None:
+        """Materialize the deferred bytes if ``[address, address + length)`` overlaps them."""
+        owner, spans = self._deferred
+        end = address + length
+        for start, size in spans:
+            if address < start + size and start < end:
+                owner.materialize()
+                return
+
+    def peek(self, address: int, length: int) -> bytes:
+        """:meth:`read` without settling the deferral: the stored bytes.
+
+        For the deferring owner, which knows which of them are stale.
+        """
+        deferred, self._deferred = self._deferred, None
+        try:
+            return self.read(address, length)
+        finally:
+            self._deferred = deferred
 
     def _check_range(self, address: int, length: int) -> None:
         if address < 0 or length < 0 or address + length > self.capacity_bytes:
@@ -36,6 +84,8 @@ class SparseMemory:
 
     def read(self, address: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``address``."""
+        if self._deferred is not None:
+            self._settle(address, length)
         self._check_range(address, length)
         page_index, page_offset = divmod(address, PAGE_SIZE)
         if page_offset + length <= PAGE_SIZE:
@@ -66,6 +116,8 @@ class SparseMemory:
         ``bytearray`` do not reach it.
         """
         length = len(data)
+        if self._deferred is not None:
+            self._settle(address, length)
         self._check_range(address, length)
         # a write that spans pages is sliced through a view, so no chunk is
         # copied twice; a one-page write slices ``data`` itself, which for
@@ -88,6 +140,8 @@ class SparseMemory:
 
     def erase(self) -> None:
         """Drop all content (models power loss of volatile devices)."""
+        if self._deferred is not None:
+            self._deferred[0].materialize()
         self._pages.clear()
 
     @property

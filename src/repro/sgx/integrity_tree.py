@@ -19,7 +19,10 @@ Per-block walks (:meth:`IntegrityTree.verify_block`,
 Bulk transfers use the range paths (:meth:`IntegrityTree.verify_range`,
 :meth:`IntegrityTree.update_range`), which read and write metadata as
 ranges and commit or check each node once per transfer, leaving exactly
-the state the per-block walks would.
+the state the per-block walks would.  A range write seals its bytes
+only when something could observe them (:meth:`IntegrityTree.materialize`);
+until then a bulk read of it is served from the held plaintext
+(:meth:`IntegrityTree.verify_pending`).
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import SecurityError
+from repro.errors import MemoryFault, SecurityError
 from repro.sgx.cache import MEECache
 from repro.sgx.crypto import MacKey, pack_counter, unpack_counter
 
@@ -169,6 +172,12 @@ class IntegrityTree:
         self.root_counter = 0  # the on-chip trusted mirror
         self.metadata_accesses = 0
         self.metadata_latency_ps = 0
+        #: Counters of pending (deferred) range writes, per level (0: leaf
+        #: versions), index -> counter; the bulk paths read these, not DRAM.
+        self.pending: List[Dict[int, int]] = [{} for _ in range(geometry.levels + 1)]
+        #: Pending range writes: (first block, last block, plaintext), disjoint.
+        self._ranges: List[Tuple[int, int, bytes]] = []
+        self._encrypt: Optional[Callable[[int, int, bytes], bytes]] = None
 
     # --- raw metadata IO -------------------------------------------------------
 
@@ -357,30 +366,36 @@ class IntegrityTree:
         raw = self._read(self.geometry.node_address(level, lo), (hi - lo + 1) * _RECORD_BYTES)
         return list(_RECORD.iter_unpack(raw))
 
-    def _children_span(self, level: int, lo: int, hi: int) -> List[bytes]:
-        """Child counters of every node ``lo..hi`` at ``level``, one range read."""
+    def _children_extent(self, level: int, lo: int, hi: int) -> Tuple[int, int]:
+        """``(address, length)`` holding the child counters of nodes ``lo..hi`` at ``level``."""
         first = lo * ARITY
         if level == 1:
             last = min((hi + 1) * ARITY, self.geometry.data_blocks)
-            raw = self._read(
-                self.geometry.version_address(first), (last - first) * COUNTER_BYTES
-            )
-        else:
-            last = min((hi + 1) * ARITY, self.geometry.level_counts[level - 2])
-            records = self._read(
-                self.geometry.node_address(level - 1, first), (last - first) * _RECORD_BYTES
-            )
+            return self.geometry.version_address(first), (last - first) * COUNTER_BYTES
+        last = min((hi + 1) * ARITY, self.geometry.level_counts[level - 2])
+        return self.geometry.node_address(level - 1, first), (last - first) * _RECORD_BYTES
+
+    def _children_span(
+        self, level: int, lo: int, hi: int, read: Optional[Callable[[int, int], bytes]] = None
+    ) -> List[bytes]:
+        """Child counters of every node ``lo..hi`` at ``level``, one range read.
+
+        ``read`` defaults to the charged :meth:`_read`.
+        """
+        raw = (read or self._read)(*self._children_extent(level, lo, hi))
+        if level > 1:
             raw = b"".join(
-                records[start : start + COUNTER_BYTES]
-                for start in range(0, len(records), _RECORD_BYTES)
+                raw[start : start + COUNTER_BYTES] for start in range(0, len(raw), _RECORD_BYTES)
             )
         # zero counters pad the last node of a level, as in _children
         width = ARITY * COUNTER_BYTES
         raw = raw.ljust((hi - lo + 1) * width, b"\0")
         return [raw[start : start + width] for start in range(0, len(raw), width)]
 
-    def _write_leaves(self, first: int, versions: List[int], ciphertext: bytes) -> None:
-        """Versions and data MACs of consecutive blocks, one range write each."""
+    def _leaf_writes(
+        self, first: int, versions: List[int], ciphertext: bytes
+    ) -> Iterator[Tuple[int, bytes]]:
+        """The two range writes (versions, then data MACs) of consecutive blocks."""
         geometry = self.geometry
         base = geometry.block_range_address(first, len(versions))
         tag = self.mac_key.tag
@@ -393,77 +408,243 @@ class IntegrityTree:
             )
             for start, version in zip(range(0, len(ciphertext), BLOCK_SIZE), versions)
         ]
-        self._write(geometry.version_address(first), b"".join(map(pack_counter, versions)))
-        self._write(geometry.leaf_mac_address(first), b"".join(macs))
+        yield geometry.version_address(first), b"".join(map(pack_counter, versions))
+        yield geometry.leaf_mac_address(first), b"".join(macs)
 
-    def _write_nodes(self, spans: List[Tuple[int, int]], counters: List[List[int]]) -> None:
-        """Write counter + MAC of every node in ``spans``, bottom-up, one write per level.
+    def _node_write(
+        self, level: int, lo: int, counters: List[int], read: Optional[Callable] = None
+    ) -> Tuple[int, bytes]:
+        """The range write of counter + MAC of nodes ``lo..`` at ``level``.
 
-        Each level's MACs read the children the level below has just
-        written, so one pass leaves every node consistent.
+        Each MAC covers the children ``read`` returns now, so a caller
+        goes bottom-up and stores each level before the next one's.
         """
-        for level, ((lo, hi), level_counters) in enumerate(zip(spans, counters), start=1):
-            records = []
-            children = self._children_span(level, lo, hi)
-            for index, counter, covered in zip(range(lo, hi + 1), level_counters, children):
-                records.append(pack_counter(counter))
-                records.append(
-                    self.mac_key.tag(*self._node_mac_input(level, index, counter, covered))
-                )
-            self._write(self.geometry.node_address(level, lo), b"".join(records))
+        records = []
+        children = self._children_span(level, lo, lo + len(counters) - 1, read)
+        for index, counter, covered in zip(range(lo, lo + len(counters)), counters, children):
+            records.append(pack_counter(counter))
+            records.append(self.mac_key.tag(*self._node_mac_input(level, index, counter, covered)))
+        return self.geometry.node_address(level, lo), b"".join(records)
+
+    # --- deferred sealing -----------------------------------------------------------------------
+    #
+    # A bulk write (update_range) does at once everything that is cheap or
+    # observable without the DRAM bytes: counters, root, cache traffic and
+    # the device charge of every access the eager walk makes.  Its
+    # ciphertext, MACs and node records are sealed later, by materialize(),
+    # from the final counters.  The store's deferral slot calls
+    # materialize() before any access can see the stale bytes, and every
+    # child counter a pending node's MAC covers lies in a deferred span, so
+    # the bytes sealed late equal the bytes sealed at once.
+
+    def _charge(self, address: int, length: int, write: bool = False) -> None:
+        """Charge one metadata access to the device without moving its bytes."""
+        if write:
+            latency = self.device.charge_write(address, length)
+        else:
+            latency = self.device.charge_read(address, length)
+        self.metadata_accesses += 1
+        self.metadata_latency_ps += latency
+
+    def _current(self, level: int, lo: int, hi: int) -> List[int]:
+        """Counters ``lo..hi`` at ``level`` (0: leaf versions) as sealing will store them.
+
+        A pending counter comes from the mirror, any other from DRAM
+        (uncharged; the caller charges the eager read).
+        """
+        pending = self.pending[level]
+        if pending:
+            values = [pending.get(index) for index in range(lo, hi + 1)]
+            if None not in values:
+                return values
+        peek = self.device._store.peek
+        count = hi - lo + 1
+        if level == 0:
+            raw = peek(self.geometry.version_address(lo), count * COUNTER_BYTES)
+            stored = list(struct.unpack(f">{count}Q", raw))
+        else:
+            raw = peek(self.geometry.node_address(level, lo), count * _RECORD_BYTES)
+            stored = [counter for counter, _mac in _RECORD.iter_unpack(raw)]
+        if not pending:
+            return stored
+        return [old if new is None else new for new, old in zip(values, stored)]
 
     def update_range(
         self, first: int, plaintext: bytes, encrypt: Callable[[int, int, bytes], bytes]
-    ) -> bytes:
-        """Batched :meth:`update_block` over the whole blocks of ``plaintext``.
+    ) -> None:
+        """Batched :meth:`update_block` over the whole blocks of ``plaintext``, sealed later.
 
-        ``encrypt(address, version, block)`` seals each block under its
-        new version; the ciphertext is returned for the caller to store.
-        The leaf versions and MACs are written as one range each, and each
-        node on the touched paths is re-MAC'd once, bottom-up.  The result
-        equals per-block :meth:`read_version` + :meth:`update_block` calls:
-        a node's counter goes up by the number of blocks under it, the
-        root by the number of blocks, and the cache sees the same lookups
-        and inserts in the same order (nodes inserted with their final
-        counters, the values the last per-block insert leaves).
+        Leaves what per-block :meth:`read_version` + :meth:`update_block`
+        calls leave: a node's counter goes up by the number of blocks
+        under it, the root by the number of blocks, and the cache sees the
+        same lookups and inserts in the same order (nodes inserted with
+        their final counters, the values the last per-block insert
+        leaves).  The device is charged, in order, every access the
+        eager batch makes: each level's node records and the versions
+        read, the versions and leaf MACs written, each level's children
+        read and records written, then the ciphertext written.
+
+        The plaintext is held until :meth:`materialize` seals it with
+        ``encrypt(address, version, block)`` and stores ciphertext,
+        versions, MACs and node records.  If a write charge faults
+        part-way (PCM endurance), the writes before it and the failing
+        one are stored at once, as the eager device stores a write
+        before counting it, and the fault propagates.
         """
+        geometry = self.geometry
         count = len(plaintext) // BLOCK_SIZE
-        base = self.geometry.block_range_address(first, count)
+        base = geometry.block_range_address(first, count)
         last = first + count - 1
+        for start, end, _held in self._ranges:
+            if start <= last and first <= end and not first <= start <= end <= last:
+                self.materialize()  # partly overwritten: keep pending ranges disjoint
+                break
         spans = self.node_spans(first, last)
         counters = []
         width = 1
         for level, (lo, hi) in enumerate(spans, start=1):
             width *= ARITY
+            self._charge(geometry.node_address(level, lo), (hi - lo + 1) * _RECORD_BYTES)
             counters.append([
                 counter + min(last, (index + 1) * width - 1) - max(first, index * width) + 1
-                for index, (counter, _mac) in enumerate(self._read_records(level, lo, hi), lo)
+                for index, counter in enumerate(self._current(level, lo, hi), lo)
             ])
-        stored = self._read_counters(first, count)
+        self._charge(geometry.version_address(first), count * COUNTER_BYTES)
+        stored = self._current(0, first, last)
         cache = self.cache
         path = [
             (level, lo, level_counters)
             for level, ((lo, _hi), level_counters) in enumerate(zip(spans, counters), 1)
         ]
         versions = []
-        ciphertext = []
         for position, block in enumerate(range(first, last + 1)):
             cached = cache.lookup((0, block)) if cache is not None else None
             version = (cached if cached is not None else stored[position]) + 1
             versions.append(version)
-            start = position * BLOCK_SIZE
-            ciphertext.append(encrypt(base + start, version, plaintext[start : start + BLOCK_SIZE]))
             if cache is not None:
                 cache.insert((0, block), version)
                 index = block
                 for level, lo, level_counters in path:
                     index //= ARITY
                     cache.insert((level, index), level_counters[index - lo])
-        sealed = b"".join(ciphertext)
-        self._write_leaves(first, versions, sealed)
-        self._write_nodes(spans, counters)
-        self.root_counter += count
-        return sealed
+        written = 0
+        try:
+            self._charge(geometry.version_address(first), count * COUNTER_BYTES, write=True)
+            written += 1
+            self._charge(geometry.leaf_mac_address(first), count * MAC_BYTES, write=True)
+            written += 1
+            for level, (lo, hi) in enumerate(spans, start=1):
+                self._charge(*self._children_extent(level, lo, hi))
+                self._charge(
+                    geometry.node_address(level, lo), (hi - lo + 1) * _RECORD_BYTES, write=True
+                )
+                written += 1
+            self.root_counter += count
+            self.device.charge_write(base, len(plaintext))
+        except MemoryFault:
+            self.materialize()
+            self._hold(first, plaintext, versions, spans, counters, encrypt)
+            self._seal(writes=written + 1)
+            raise
+        self._hold(first, plaintext, versions, spans, counters, encrypt)
+        spans_held = []
+        for start, end, _held in self._ranges:
+            spans_held.extend(self._deferred_spans(start, end))
+        self.device._store.defer(self, spans_held)
+
+    def _hold(
+        self,
+        first: int,
+        plaintext: bytes,
+        versions: List[int],
+        spans: List[Tuple[int, int]],
+        counters: List[List[int]],
+        encrypt: Callable[[int, int, bytes], bytes],
+    ) -> None:
+        """Make one range write pending: its plaintext and its counters in the mirror."""
+        last = first + len(versions) - 1
+        self._ranges = [held for held in self._ranges if not first <= held[0] <= held[1] <= last]
+        self._ranges.append((first, last, plaintext))
+        self._encrypt = encrypt
+        self.pending[0].update(zip(range(first, last + 1), versions))
+        for level, ((lo, hi), level_counters) in enumerate(zip(spans, counters), start=1):
+            self.pending[level].update(zip(range(lo, hi + 1), level_counters))
+
+    def _deferred_spans(self, first: int, last: int) -> List[Tuple[int, int]]:
+        """Every byte sealing blocks ``first..last`` stores or reads.
+
+        The ciphertext and leaf MACs, each level's children (the versions
+        and node records the MACs cover, the range's own among them) and
+        the top node.
+        """
+        geometry = self.geometry
+        count = last - first + 1
+        spans = [
+            (geometry.block_address(first), count * BLOCK_SIZE),
+            (geometry.leaf_mac_address(first), count * MAC_BYTES),
+        ]
+        for level, (lo, hi) in enumerate(self.node_spans(first, last), start=1):
+            spans.append(self._children_extent(level, lo, hi))
+        spans.append((geometry.node_address(geometry.levels, 0), _RECORD_BYTES))
+        return spans
+
+    def pending_plaintext(self, first: int, count: int) -> Optional[bytes]:
+        """The held plaintext of blocks ``first..first + count - 1`` if one pending write holds them all."""
+        for start, end, held in self._ranges:
+            if start <= first and first + count - 1 <= end:
+                offset = (first - start) * BLOCK_SIZE
+                return held[offset : offset + count * BLOCK_SIZE]
+        return None
+
+    def materialize(self) -> None:
+        """Store every pending write's bytes as eager sealing would have (store hook)."""
+        if self._ranges:
+            self._seal()
+
+    def _seal(self, writes: Optional[int] = None) -> None:
+        """Store the pending writes (the first ``writes`` only) and clear them."""
+        store = self.device._store
+        store.release()
+        for done, (address, data) in enumerate(self._sealed_writes(store.read), start=1):
+            store.write(address, data)
+            if done == writes:
+                break
+        self._ranges = []
+        for level in self.pending:
+            level.clear()
+
+    def _sealed_writes(self, read: Callable[[int, int], bytes]) -> Iterator[Tuple[int, bytes]]:
+        """``(address, bytes)`` storing the pending writes, in the eager batch's order.
+
+        Each range's versions and leaf MACs, then every pending node level
+        by level bottom-up, each node's MAC over its children as ``read``
+        returns them once the level below is stored, then each range's
+        ciphertext.  For one range that is the eager write order.
+        """
+        encrypt = self._encrypt
+        sealed = []
+        for first, last, plaintext in self._ranges:
+            base = self.geometry.block_range_address(first, last - first + 1)
+            versions = [self.pending[0][block] for block in range(first, last + 1)]
+            ciphertext = b"".join(
+                encrypt(base + start, version, plaintext[start : start + BLOCK_SIZE])
+                for start, version in zip(range(0, len(plaintext), BLOCK_SIZE), versions)
+            )
+            sealed.append((base, ciphertext))
+            yield from self._leaf_writes(first, versions, ciphertext)
+        for level in range(1, self.geometry.levels + 1):
+            counters = self.pending[level]
+            run: List[int] = []
+            for index in sorted(counters):
+                if run and index != lo + len(run):
+                    yield self._node_write(level, lo, run, read)
+                    run = []
+                if not run:
+                    lo = index
+                run.append(counters[index])
+            if run:
+                yield self._node_write(level, lo, run, read)
+        yield from sealed
 
     def verify_range(self, first: int, ciphertext: bytes) -> Iterator[int]:
         """Batched :meth:`verify_block`: yield each block's trusted version in turn.
@@ -537,6 +718,45 @@ class IntegrityTree:
                 return
             child_index = index
 
+    def verify_pending(self, first: int, count: int) -> Iterator[int]:
+        """:meth:`verify_range` over blocks that one pending write holds.
+
+        Charges the same metadata reads and makes the same cache lookups
+        and inserts, root check included, in the same order, yielding
+        each block's version.  Every MAC check passes: the bytes are the
+        engine's own sealing of the mirror's counters, and nothing can
+        have changed them, since any access to them stores them first.
+        """
+        geometry = self.geometry
+        last = first + count - 1
+        self._charge(geometry.version_address(first), count * COUNTER_BYTES)
+        self._charge(geometry.leaf_mac_address(first), count * MAC_BYTES)
+        for level, (lo, hi) in enumerate(self.node_spans(first, last), start=1):
+            self._charge(geometry.node_address(level, lo), (hi - lo + 1) * _RECORD_BYTES)
+            self._charge(*self._children_extent(level, lo, hi))
+        cache = self.cache
+        pending = self.pending
+        top = geometry.levels
+        for block in range(first, last + 1):
+            version = cache.lookup((0, block)) if cache is not None else None
+            if version is None:
+                version = pending[0][block]
+                index = block
+                for level in range(1, top + 1):
+                    index //= ARITY
+                    if cache is not None and cache.lookup((level, index)) is not None:
+                        break
+                    counter = pending[level][index]
+                    if cache is not None:
+                        cache.insert((level, index), counter)
+                    if level == top and counter != self.root_counter:
+                        raise SecurityError(
+                            f"root counter mismatch: DRAM={counter} on-chip={self.root_counter}"
+                        )
+                if cache is not None:
+                    cache.insert((0, block), version)
+            yield version
+
     # --- initialization ------------------------------------------------------------------------
 
     def initialize(self, ciphertext: Optional[bytes] = None) -> None:
@@ -552,9 +772,11 @@ class IntegrityTree:
         blocks = self.geometry.data_blocks
         if ciphertext is None:
             ciphertext = bytes(blocks * BLOCK_SIZE)
-        self._write_leaves(0, [0] * blocks, ciphertext)
-        spans = self.node_spans(0, blocks - 1)
-        self._write_nodes(spans, [[0] * (hi - lo + 1) for lo, hi in spans])
+        self.materialize()  # settle pending writes before overwriting them
+        for address, data in self._leaf_writes(0, [0] * blocks, ciphertext):
+            self._write(address, data)
+        for level, (lo, hi) in enumerate(self.node_spans(0, blocks - 1), start=1):
+            self._write(*self._node_write(level, lo, [0] * (hi - lo + 1)))
         self.root_counter = 0
         if self.cache is not None:
             self.cache.flush()

@@ -3,6 +3,8 @@
 Every access to the protected region goes through here (Fig. 4): writes
 are encrypted and authenticated, reads are decrypted after the integrity
 tree confirms both the MAC and the freshness of the version counter.
+A bulk (FSM) write runs its crypto only once something can observe the
+DRAM bytes, and then stores the bytes an immediate seal would have.
 
 Latency model: the crypto pipeline adds a fixed per-block latency and the
 tree walk adds real (modeled) DRAM metadata accesses — serialized, which
@@ -110,6 +112,8 @@ class MemoryEncryptionEngine:
         if len(state) != 9:
             raise SecurityError("malformed MEE state blob")
         root, initialized = struct.unpack(">QB", state)
+        if root != self.tree.root_counter:
+            self.tree.materialize()  # store pending writes before their root is replaced
         self.tree.root_counter = root
         self._initialized = bool(initialized)
 
@@ -231,30 +235,35 @@ class MemoryEncryptionEngine:
     def bulk_write(self, offset: int, data: bytes) -> int:
         """Write a large contiguous range the way the save FSM does.
 
-        The functional effect is identical to :meth:`write` (every block is
-        really encrypted, MAC'd, and tree-updated), but whole blocks are
-        committed as one batch: one write each for ciphertext, versions
-        and MACs, and each touched tree node re-MAC'd once.  The returned
-        latency models the *pipelined* engine with a write-back metadata
-        cache: data and metadata stream over the memory bus back-to-back
-        instead of serializing a full tree walk per block.  This is the
-        model behind the paper's ~18 us save of a 200 KB context to
-        DDR3-1600 (Sec. 6.3).  An empty write touches nothing and takes 0.
+        The effect is that of :meth:`write`, but whole blocks are
+        committed as one batch (:meth:`IntegrityTree.update_range`): one
+        write each for ciphertext, versions and MACs, each touched tree
+        node re-MAC'd once.  The batch's counters, root, cache traffic,
+        stats and device charges happen now; its encryption and MACs run
+        only when something can observe the DRAM bytes (the store's
+        deferral slot), and store exactly the bytes they would have
+        stored now.  Partial edge blocks keep :meth:`write`'s verified
+        read-modify-write, in its order.
+
+        The returned latency models the *pipelined* engine with a
+        write-back metadata cache: data and metadata stream over the
+        memory bus back-to-back instead of serializing a full tree walk
+        per block.  This is the model behind the paper's ~18 us save of a
+        200 KB context to DDR3-1600 (Sec. 6.3).  An empty write touches
+        nothing and takes 0.
         """
         self._check_ready()
         self._check_bounds(offset, len(data))
         if not data:
             return 0
-        # data[head:tail] is whole blocks; partial edge blocks keep the
-        # verified read-modify-write of write(), in write()'s order
+        # data[head:tail] is whole blocks
         head = min(-offset % BLOCK_SIZE, len(data))
         tail = head + (len(data) - head) // BLOCK_SIZE * BLOCK_SIZE
         if head:
             self._write_block(offset // BLOCK_SIZE, offset % BLOCK_SIZE, data[:head])
         if tail > head:
             first = (offset + head) // BLOCK_SIZE
-            ciphertext = self.tree.update_range(first, data[head:tail], self._cipher.encrypt)
-            self.device.write(self.geometry.block_address(first), ciphertext)
+            self.tree.update_range(first, bytes(data[head:tail]), self._cipher.encrypt)
             self.stats.blocks_written += (tail - head) // BLOCK_SIZE
         if tail < len(data):
             self._write_block((offset + tail) // BLOCK_SIZE, 0, data[tail:])
@@ -273,11 +282,14 @@ class MemoryEncryptionEngine:
 
         Functional result identical to :meth:`read` (full verification),
         with the ciphertext and metadata read as ranges and each tree node
-        checked once; latency modeled as a pipelined stream: ciphertext
-        plus one pass over the touched metadata (leaf entries and interior
-        nodes are contiguous arrays, so they stream at full bandwidth).
-        This is the model behind the paper's ~13 us restore (Sec. 6.3).
-        An empty read touches nothing and takes 0.
+        checked once.  Blocks that one pending bulk write still holds come
+        back as its plaintext, with the same charges, cache traffic,
+        stats and root check (:meth:`IntegrityTree.verify_pending`).
+        Latency is modeled as a pipelined stream: ciphertext plus one pass
+        over the touched metadata (leaf entries and interior nodes are
+        contiguous arrays, so they stream at full bandwidth).  This is the
+        model behind the paper's ~13 us restore (Sec. 6.3).  An empty read
+        touches nothing and takes 0.
         """
         self._check_ready()
         self._check_bounds(offset, length)
@@ -286,24 +298,33 @@ class MemoryEncryptionEngine:
         first = offset // BLOCK_SIZE
         address = self.geometry.block_address(first)
         span = ((offset + length - 1) // BLOCK_SIZE - first + 1) * BLOCK_SIZE
-        ciphertext, _latency = self.device.read(address, span)
+        held = self.tree.pending_plaintext(first, span // BLOCK_SIZE)
+        if held is None:
+            ciphertext, _latency = self.device.read(address, span)
+            versions = self.tree.verify_range(first, ciphertext)
+        else:
+            self.device.charge_read(address, span)
+            versions = self.tree.verify_pending(first, span // BLOCK_SIZE)
         decrypt = self._cipher.decrypt
         plaintext = []
+        verified = 0
         try:
-            for position, version in enumerate(self.tree.verify_range(first, ciphertext)):
-                start = position * BLOCK_SIZE
-                plaintext.append(
-                    decrypt(address + start, version, ciphertext[start : start + BLOCK_SIZE])
-                )
+            for position, version in enumerate(versions):
+                if held is None:
+                    start = position * BLOCK_SIZE
+                    plaintext.append(
+                        decrypt(address + start, version, ciphertext[start : start + BLOCK_SIZE])
+                    )
+                verified += 1
         except SecurityError:
             self.stats.integrity_violations += 1
             raise
         finally:
-            # every block verify_range yielded was verified and decrypted
-            self.stats.blocks_read += len(plaintext)
+            # every block verified was decrypted
+            self.stats.blocks_read += verified
         self.stats.bytes_read += length
         start = offset % BLOCK_SIZE
-        data = b"".join(plaintext)[start : start + length]
+        data = (b"".join(plaintext) if held is None else held)[start : start + length]
         blocks, nodes = self._touched_geometry(offset, length)
         leaf_bytes = blocks * self.LEAF_ENTRY_BYTES
         node_bytes = nodes * self.NODE_ENTRY_BYTES

@@ -46,6 +46,15 @@ class TestPlainRouting:
         with pytest.raises(MemoryFault):
             controller.read(0, 16)
 
+    @pytest.mark.parametrize("call", ["read", "write", "bulk_read", "bulk_write"])
+    def test_faulted_protected_access_is_not_counted(self, call):
+        controller, _dram, _ = make_controller()
+        controller.range_register.program(MemoryRegion(0, 1024))
+        argument = 16 if call.endswith("read") else bytes(16)
+        with pytest.raises(MemoryFault, match="without an MEE"):
+            getattr(controller, call)(0, argument)
+        assert controller.stats == type(controller.stats)()
+
 
 class TestProtectedRouting:
     def test_protected_roundtrip_through_mee(self):

@@ -18,9 +18,18 @@ from repro.perf.cache import SimulationCache
 
 
 class TestGitRevision:
-    def test_reads_this_repository(self):
+    def test_reads_this_repository(self, tmp_path, monkeypatch):
+        """From a subdirectory, the default start walks up to the enclosing
+        ``.git`` and follows HEAD through a loose branch ref."""
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "refs" / "heads" / "main").write_text("0123456789abcdef" * 2 + "01234567\n")
+        nested = tmp_path / "src" / "repro"
+        nested.mkdir(parents=True)
+        monkeypatch.chdir(nested)
         rev = git_revision()
-        assert rev is not None
+        assert rev == "0123456789abcdef" * 2 + "01234567"
         assert len(rev) == 40
         assert all(ch in "0123456789abcdef" for ch in rev)
 

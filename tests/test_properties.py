@@ -6,7 +6,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.clocks.clock import DerivedClock
 from repro.clocks.crystal import CrystalOscillator
-from repro.errors import SecurityError
+from repro.errors import MemoryFault, SecurityError
 from repro.memory.dram import DRAMDevice
 from repro.power.meter import EnergyMeter
 from repro.sgx.cache import MEECache
@@ -192,6 +192,78 @@ class MEEStateMachine(RuleBasedStateMachine):
         for engine in (self.mee, self.twin):
             engine.power_on(engine.power_off())
 
+    def _save_both(self, first, data):
+        """Bulk-write whole blocks from block ``first`` (the per-access twin
+        writes them); they stay pending, as partial blocks would not."""
+        offset = first * 64
+        data = data[: min(len(data) // 64 * 64, 4096 - offset)]
+        self.mee.bulk_write(offset, data)
+        self.twin.write(offset, data)
+        self.shadow[offset : offset + len(data)] = data
+        return offset, data
+
+    @rule(
+        first=st.integers(0, 63),
+        data=st.binary(min_size=64, max_size=704),
+        point=st.integers(0, 2**20),
+        length=st.integers(1, 96),
+    )
+    def read_raw_dram(self, first, data, point, length):
+        """Raw DRAM bytes at a random point of the region, right after a
+        bulk write, are the per-access twin's."""
+        self._save_both(first, data)
+        geometry = self.mee.geometry
+        address = geometry.region_base + point % geometry.total_size
+        length = min(length, geometry.region_base + geometry.total_size - address)
+        raw = [engine.device._store.read(address, length) for engine in (self.mee, self.twin)]
+        assert raw[0] == raw[1]
+
+    @rule(
+        first=st.integers(0, 63),
+        data=st.binary(min_size=64, max_size=704),
+        pick=st.integers(0, 2**16),
+        bit=st.integers(0, 7),
+    )
+    def tamper_pending(self, first, data, pick, bit):
+        """Flip one bit of a just-bulk-written range's data or metadata in
+        DRAM: the region bytes are the twin's, and reading the range back
+        fails or succeeds as the twin's read does.  The bit is flipped
+        back afterwards."""
+        from repro.sgx.integrity_tree import ARITY, BLOCK_SIZE
+
+        offset, data = self._save_both(first, data)
+        geometry = self.mee.geometry
+        first = offset // BLOCK_SIZE
+        block = first + pick % ((offset + len(data) - 1) // BLOCK_SIZE - first + 1)
+        level = 1 + pick % geometry.levels
+        # a sibling under the same level-1 node: its version is under a
+        # pending node's MAC
+        sibling = min(block // ARITY * ARITY + pick % ARITY, geometry.data_blocks - 1)
+        address = [
+            geometry.block_address(block) + pick % BLOCK_SIZE,
+            geometry.version_address(block) + pick % 8,
+            geometry.leaf_mac_address(block) + pick % 8,
+            geometry.node_address(level, block // ARITY**level) + pick % 16,
+            geometry.version_address(sibling) + pick % 8,
+        ][pick % 5]
+
+        def flip():
+            for engine in (self.mee, self.twin):
+                store = engine.device._store
+                (byte,) = store.read(address, 1)
+                store.write(address, bytes([byte ^ (1 << bit)]))
+
+        flip()
+        region = [
+            engine.device._store.read(geometry.region_base, geometry.total_size)
+            for engine in (self.mee, self.twin)
+        ]
+        assert region[0] == region[1]
+        got = outcome(self.mee.bulk_read, offset, len(data))
+        want = outcome(self.twin.read, offset, len(data))
+        flip()
+        assert got == want
+
     @invariant()
     def root_counter_counts_writes(self):
         assert self.mee.tree.root_counter == self.mee.stats.blocks_written
@@ -205,6 +277,155 @@ TestMEEStateMachine = MEEStateMachine.TestCase
 TestMEEStateMachine.settings = settings(
     max_examples=15, stateful_step_count=20, deadline=None
 )
+
+
+_DIFFERENTIAL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("bulk_write"), st.integers(0, 4095), st.binary(min_size=1, max_size=700)),
+        # a block-aligned save (partial blocks are sealed at once), then a
+        # restore of some of its blocks
+        st.tuples(
+            st.just("save_restore"),
+            st.integers(0, 63),
+            st.binary(min_size=64, max_size=704),
+            st.integers(0, 2**16),
+        ),
+        st.tuples(st.just("bulk_read"), st.integers(0, 4095), st.integers(1, 700)),
+        # a block-aligned restore, often of (part of) an earlier save
+        st.tuples(st.just("restore"), st.integers(0, 63), st.integers(1, 11)),
+        st.tuples(st.just("write"), st.integers(0, 4095), st.binary(min_size=1, max_size=96)),
+        st.tuples(st.just("read"), st.integers(0, 4095), st.integers(1, 96)),
+        st.tuples(st.just("raw_read"), st.integers(0, 2**20), st.integers(1, 96)),
+        st.tuples(st.just("tamper"), st.integers(0, 2**20), st.integers(0, 7)),
+        st.tuples(st.just("mee_power_cycle")),
+        # power the MEE back on with the state it exported at start-up
+        st.tuples(st.just("mee_replay")),
+        st.tuples(st.just("dram_power_loss")),
+        st.tuples(st.just("initialize")),
+    ),
+    max_size=25,
+)
+
+
+def run_ops(engine, ops, settle):
+    """Apply ``ops`` to ``engine``, calling ``settle()`` after each engine call.
+
+    Returns every result: data and latency, or the error's type and message.
+    """
+    from repro.sgx.integrity_tree import BLOCK_SIZE
+
+    geometry = engine.geometry
+    store = engine.device._store
+    end = geometry.region_base + geometry.total_size
+
+    def call(method, *args):
+        try:
+            return getattr(engine, method)(*args)
+        except (SecurityError, MemoryFault) as error:
+            return (type(error).__name__, str(error))
+        finally:
+            settle()
+
+    initial = engine.export_state()
+    results = []
+    for kind, *args in ops:
+        if kind in ("bulk_write", "write"):
+            offset, data = args
+            results.append(call(kind, offset, data[: 4096 - offset]))
+        elif kind in ("bulk_read", "read"):
+            offset, length = args
+            results.append(call(kind, offset, min(length, 4096 - offset)))
+        elif kind == "save_restore":
+            first, data, pick = args
+            blocks = min(len(data) // BLOCK_SIZE, 64 - first)
+            results.append(call("bulk_write", first * BLOCK_SIZE, data[: blocks * BLOCK_SIZE]))
+            start = first + pick % blocks
+            count = 1 + pick // blocks % (first + blocks - start)
+            results.append(call("bulk_read", start * BLOCK_SIZE, count * BLOCK_SIZE))
+        elif kind == "restore":
+            first, count = args
+            count = min(count, 64 - first)
+            results.append(call("bulk_read", first * BLOCK_SIZE, count * BLOCK_SIZE))
+        elif kind == "raw_read":
+            point, length = args
+            address = geometry.region_base + point % geometry.total_size
+            results.append(store.read(address, min(length, end - address)))
+        elif kind == "tamper":
+            point, bit = args
+            address = geometry.region_base + point % geometry.total_size
+            (byte,) = store.read(address, 1)
+            store.write(address, bytes([byte ^ (1 << bit)]))
+        elif kind == "mee_power_cycle":
+            engine.power_on(engine.power_off())
+        elif kind == "mee_replay":
+            engine.power_off()
+            engine.power_on(initial)
+        elif kind == "dram_power_loss":
+            engine.device.power_off()
+            engine.device.power_on()
+        else:
+            results.append(call("initialize_region"))
+    return results
+
+
+def lazy_state(engine):
+    """:func:`engine_state` plus the device and metadata traffic counters."""
+    state = engine_state(engine)
+    state["traffic"] = (
+        engine.device.bytes_read,
+        engine.device.bytes_written,
+        engine.tree.metadata_accesses,
+        engine.tree.metadata_latency_ps,
+    )
+    return state
+
+
+class TestLazySealingDifferential:
+    """Bulk writes sealed whenever something first observes them equal bulk
+    writes sealed at once, over generated sequences."""
+
+    def test_deferred_sealing_equals_immediate_sealing(self):
+        """One engine seals only when an access needs the bytes; the other
+        is settled after every call, so nothing stays pending.  Compared at
+        the end of each sequence: every result (data, latency or error),
+        region bytes, root, cache lines and counts, stats, and the device
+        and metadata traffic."""
+        served = []
+
+        @given(ops=_DIFFERENTIAL_OPS, sets=st.sampled_from([1, 4, 32]))
+        @settings(max_examples=100, deadline=None)
+        def check(ops, sets):
+            lazy = make_engine(4096, sets=sets)
+            eager = make_engine(4096, sets=sets)
+            tree = lazy.tree
+            materialized = []
+            seal = tree.materialize
+
+            def spy():
+                materialized.append(1)
+                seal()
+
+            tree.materialize = spy
+            read = lazy.bulk_read
+
+            def bulk_read(offset, length):
+                from repro.sgx.integrity_tree import BLOCK_SIZE
+
+                held = tree.pending_plaintext(offset // BLOCK_SIZE, -(-length // BLOCK_SIZE))
+                before = len(materialized)
+                result = read(offset, length)
+                if held is not None and len(materialized) == before:
+                    served.append(1)
+                return result
+
+            lazy.bulk_read = bulk_read
+            got = run_ops(lazy, ops, settle=lambda: None)
+            want = run_ops(eager, ops, settle=eager.tree.materialize)
+            assert got == want
+            assert lazy_state(lazy) == lazy_state(eager)
+
+        check()
+        assert served, "no generated sequence served a bulk read from a pending write"
 
 
 class TestMEEBulkDifferential:

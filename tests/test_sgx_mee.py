@@ -1,9 +1,12 @@
 """Tests for the memory encryption engine."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SecurityError
+from repro.errors import MemoryFault, SecurityError
 from repro.memory.dram import DRAMDevice
 from repro.memory.nvm import PCMDevice
 from repro.sgx.cache import MEECache
@@ -155,6 +158,21 @@ class TestBulkTransfers:
         assert data == blob
         assert write_latency > read_latency  # writes RMW the metadata
 
+    def test_save_over_part_of_a_pending_save(self):
+        """A save that overwrites only part of an earlier, still pending save
+        leaves both readable as written, restored whole or per block."""
+        _device, mee = make_mee()
+        shadow = bytearray(mee.data_capacity)
+        for offset, fill in ((0, 1), (128, 2), (64, 3), (1024, 4), (960, 5)):
+            data = bytes([fill]) * 256
+            mee.bulk_write(offset, data)
+            shadow[offset : offset + 256] = data
+        for offset in (0, 128, 64, 960, 1024):
+            assert mee.bulk_read(offset, 256)[0] == shadow[offset : offset + 256]
+        mee.power_on(mee.power_off())
+        assert mee.bulk_read(0, 1536)[0] == shadow[:1536]
+        assert mee.read(0, 1536)[0] == shadow[:1536]
+
     def test_bulk_latency_matches_paper_scale(self):
         """Sec. 6.3: ~18 us save / ~13 us restore for 200 KB at DDR3-1600."""
         _device, mee = make_mee(data_size=200 * 1024)
@@ -200,6 +218,81 @@ class TestBulkTransfers:
         assert observed() == before
 
 
+class TestBulkDeviceCharges:
+    """A bulk transfer charges the device for every access the eager
+    batch makes, with the same faults, whenever its crypto runs."""
+
+    @staticmethod
+    def observed(device, mee):
+        return (
+            device.bytes_read, device.bytes_written, mee.tree.metadata_accesses,
+            mee.tree.metadata_latency_ps, mee.tree.root_counter,
+            (mee.cache.hits, mee.cache.misses, mee.cache.evictions), vars(mee.stats).copy(),
+        )
+
+    @pytest.mark.parametrize("state", ["self_refresh", "off"])
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_bulk_transfer_in_a_dead_dram_state_faults(self, state, pending):
+        device, mee = make_mee()
+        if pending:
+            mee.bulk_write(0, bytes(range(256)) * 16)
+        if state == "self_refresh":
+            device.enter_self_refresh()
+        else:
+            device.power_off()
+        before = self.observed(device, mee)
+        message = f"dram: access in state {state}"
+        with pytest.raises(MemoryFault, match=message):
+            mee.bulk_write(0, bytes(4096))
+        with pytest.raises(MemoryFault, match=message):
+            mee.bulk_read(0, 4096)
+        with pytest.raises(MemoryFault, match=message):
+            mee.bulk_read(4096, 64)
+        assert self.observed(device, mee) == before
+
+    # (saves completed, fault, bytes_written, bytes_read, wear per 4 KiB
+    # region, root, sha256 prefix of the region bytes after the fault),
+    # recorded from the engine that sealed every bulk write at once
+    EXPECTED_WEAR = {
+        # the ciphertext write of save 4 faults (the root already counts it)
+        24: (3, "region 257 (25 > 24 writes)", 26320, 23536, {256: 5, 257: 25}, 256,
+             "ae35948d96208ab1"),
+        # the versions write of save 5 faults
+        25: (4, "region 257 (26 > 25 writes)", 26832, 30096, {256: 5, 257: 26}, 256,
+             "89c07ac9e4b733fb"),
+        # the level-1 node write of save 5 faults
+        27: (4, "region 257 (28 > 27 writes)", 27472, 30608, {256: 5, 257: 28}, 256,
+             "c453c50f48c559bb"),
+    }
+
+    @pytest.mark.parametrize("endurance", sorted(EXPECTED_WEAR))
+    def test_pcm_saves_wear_and_fault_as_eager_writes(self, endurance):
+        """Save/restore a 4 KiB context over PCM until a write exceeds the
+        endurance.  The data's last 4 KiB region also holds all the tree
+        metadata, so each endurance limit faults a different write."""
+        device = PCMDevice(capacity_bytes=8 << 20)
+        device.endurance_cycles = endurance
+        base = REGION_BASE + 2048
+        geometry = TreeGeometry.for_data_size(base, 4096)
+        mee = MemoryEncryptionEngine(device, geometry, MASTER, MEECache(4, 2))
+        mee.initialize_region()
+        rng = random.Random(endurance)
+        saves = 0
+        with pytest.raises(MemoryFault) as fault:
+            while True:
+                image = rng.randbytes(4096)
+                mee.bulk_write(0, image)
+                saves += 1
+                assert mee.bulk_read(0, 4096)[0] == image
+        region = device._store.read(base, geometry.total_size)
+        got = (
+            saves, str(fault.value).removeprefix("pcm: endurance exceeded on "),
+            device.bytes_written, device.bytes_read, device.wear_level_report(),
+            mee.tree.root_counter, hashlib.sha256(region).hexdigest()[:16],
+        )
+        assert got == self.EXPECTED_WEAR[endurance]
+
+
 class TestBulkTamper:
     def test_bulk_read_rechecks_node_evicted_mid_transfer(self):
         """A node verified from a cache hit is checked again from DRAM once evicted.
@@ -228,6 +321,23 @@ class TestBulkTamper:
         assert str(bulk_error.value) == str(twin_error.value)
         assert bulk.stats == twin.stats
         assert bulk.stats.blocks_read == 1 + 3  # the warm-up read, then blocks 1-3
+
+
+    def test_bulk_read_of_pending_write_checks_the_on_chip_root(self):
+        """A restore served from a pending write still compares the top
+        node with the on-chip root, as a read of the sealed bytes does."""
+        outcomes = []
+        for seal_first in (False, True):
+            _device, mee = make_mee()
+            mee.bulk_write(0, bytes(range(256)) * 4)
+            if seal_first:
+                mee.tree.materialize()
+            mee.tree.root_counter += 1
+            mee.cache.flush()
+            with pytest.raises(SecurityError, match="root counter mismatch") as error:
+                mee.bulk_read(64, 256)
+            outcomes.append((str(error.value), mee.stats, mee.cache.hits, mee.cache.misses))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestRoundtripProperty:
