@@ -143,14 +143,12 @@ def residency_sweep(
     config: Optional[PlatformConfig] = None,
     cycles: int = 3,
     maintenance_s: float = SWEEP_MAINTENANCE_S,
-    parallel: bool = False,
 ) -> List[Tuple[float, float, float]]:
     """Average power of baseline and technique at each residency.
 
     Returns ``(residency_s, baseline_w, technique_w)`` tuples — the raw
-    data behind the Fig. 6(a) break-even line.  ``parallel=True`` runs
-    the residency points in worker processes (each point is a pair of
-    independent simulations); results are identical to the serial path.
+    data behind the Fig. 6(a) break-even line.  Each point is a pair of
+    independent simulations, run by :func:`sweep`.
     """
     points = sweep(
         residencies_s,
@@ -161,6 +159,5 @@ def residency_sweep(
             cycles=cycles,
             maintenance_s=maintenance_s,
         ),
-        parallel=parallel,
     )
     return [(idle_s, base_w, tech_w) for idle_s, (base_w, tech_w) in points]

@@ -133,10 +133,7 @@ def cmd_fig6a(args: argparse.Namespace) -> None:
 
 def cmd_fig6b(args: argparse.Namespace) -> None:
     rows = []
-    for row in fig6b_core_frequency(
-        cycles=_cycles_of(args), macro=args.macro,
-        parallel=getattr(args, "parallel", False),
-    ):
+    for row in fig6b_core_frequency(cycles=_cycles_of(args), macro=args.macro):
         paper = "-" if row.paper_delta is None else f"{row.paper_delta:+.1%}"
         rows.append([f"{row.parameter:.1f} GHz", f"{row.average_power_mw:.2f} mW",
                      f"{row.delta_vs_reference:+.2%}", paper])
@@ -146,10 +143,7 @@ def cmd_fig6b(args: argparse.Namespace) -> None:
 
 def cmd_fig6c(args: argparse.Namespace) -> None:
     rows = []
-    for row in fig6c_dram_frequency(
-        cycles=_cycles_of(args), macro=args.macro,
-        parallel=getattr(args, "parallel", False),
-    ):
+    for row in fig6c_dram_frequency(cycles=_cycles_of(args), macro=args.macro):
         paper = "-" if row.paper_delta is None else f"{row.paper_delta:+.1%}"
         rows.append([f"{row.parameter / 1e9:.3f} GHz", f"{row.average_power_mw:.2f} mW",
                      f"{row.delta_vs_reference:+.2%}", paper])
@@ -698,10 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_group.add_argument(
         "--no-runlog", action="store_true",
         help="do not record this run to the .repro/runs flight recorder",
-    )
-    perf_group.add_argument(
-        "--parallel", action="store_true",
-        help="fig6b/fig6c: fan sweep points out over worker processes",
     )
     parser.add_argument(
         "--break-even", action="store_true",

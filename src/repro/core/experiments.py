@@ -530,19 +530,17 @@ def fig6b_core_frequency(
     config: Optional[PlatformConfig] = None,
     frequencies_ghz: Tuple[float, ...] = (0.8, 1.0, 1.5),
     cycles: int = 2,
-    parallel: bool = False,
     macro: bool = False,
 ) -> List[SweepRow]:
     """Reproduce the core-frequency sweep of Fig. 6(b) (ODRIPS platform).
 
-    ``parallel=True`` fans the sweep points out over worker processes;
-    every point is an independent simulation, so the rows are identical
-    to the serial ones.  ``macro`` macro-steps each point's run.
+    Every point is an independent simulation, which :func:`sweep` runs
+    in worker processes where the host has the cores.  ``macro``
+    macro-steps each point's run.
     """
     points = sweep(
         frequencies_ghz,
         partial(_odrips_average_at_core_freq, config=config, cycles=cycles, macro=macro),
-        parallel=parallel,
     )
     return _sweep_rows(points, FIG6B_PAPER)
 
@@ -571,18 +569,16 @@ def fig6c_dram_frequency(
     config: Optional[PlatformConfig] = None,
     rates_hz: Tuple[float, ...] = (1.6e9, 1.067e9, 0.8e9),
     cycles: int = 2,
-    parallel: bool = False,
     macro: bool = False,
 ) -> List[SweepRow]:
     """Reproduce the DRAM-frequency sweep of Fig. 6(c) (ODRIPS platform).
 
-    ``parallel=True`` runs the sweep points in worker processes (see
-    :func:`fig6b_core_frequency`).  ``macro`` macro-steps each point.
+    The points run like :func:`fig6b_core_frequency`'s.  ``macro``
+    macro-steps each point.
     """
     points = sweep(
         rates_hz,
         partial(_odrips_average_at_dram_rate, config=config, cycles=cycles, macro=macro),
-        parallel=parallel,
     )
     return _sweep_rows(points, FIG6C_PAPER)
 
