@@ -103,7 +103,8 @@ _GLOBAL_RNG_ATTRS = frozenset(
 
 _ENV_CALLS = frozenset(
     {
-        "os.getenv", "os.cpu_count", "os.uname", "os.getlogin",
+        "os.getenv", "os.cpu_count", "os.sched_getaffinity", "os.uname",
+        "os.getlogin",
         "platform.node", "platform.platform", "platform.machine",
         "socket.gethostname",
     }
