@@ -476,10 +476,10 @@ class IntegrityTree:
 
         Leaves what per-block :meth:`read_version` + :meth:`update_block`
         calls leave: a node's counter goes up by the number of blocks
-        under it, the root by the number of blocks, and the cache sees the
-        same lookups and inserts in the same order (nodes inserted with
-        their final counters, the values the last per-block insert
-        leaves).  The device is charged, in order, every access the
+        under it, the root by the number of blocks, and the cache is left
+        in the same final state with the same counts, nodes holding
+        their final counters (:meth:`MEECache.replay_writes`, one call
+        for the range).  The device is charged, in order, every access the
         eager batch makes: each level's node records and the versions
         read, the versions and leaf MACs written, each level's children
         read and records written, then the ciphertext written.
@@ -511,22 +511,14 @@ class IntegrityTree:
             ])
         self._charge(geometry.version_address(first), count * COUNTER_BYTES)
         stored = self._current(0, first, last)
-        cache = self.cache
-        path = [
-            (level, lo, level_counters)
-            for level, ((lo, _hi), level_counters) in enumerate(zip(spans, counters), 1)
-        ]
-        versions = []
-        for position, block in enumerate(range(first, last + 1)):
-            cached = cache.lookup((0, block)) if cache is not None else None
-            version = (cached if cached is not None else stored[position]) + 1
-            versions.append(version)
-            if cache is not None:
-                cache.insert((0, block), version)
-                index = block
-                for level, lo, level_counters in path:
-                    index //= ARITY
-                    cache.insert((level, index), level_counters[index - lo])
+        if self.cache is None:
+            versions = [version + 1 for version in stored]
+        else:
+            nodes = [
+                dict(zip(range(lo, hi + 1), level_counters))
+                for (lo, hi), level_counters in zip(spans, counters)
+            ]
+            versions = self.cache.replay_writes(first, stored, nodes, ARITY)
         written = 0
         try:
             self._charge(geometry.version_address(first), count * COUNTER_BYTES, write=True)
@@ -721,11 +713,13 @@ class IntegrityTree:
     def verify_pending(self, first: int, count: int) -> Iterator[int]:
         """:meth:`verify_range` over blocks that one pending write holds.
 
-        Charges the same metadata reads and makes the same cache lookups
-        and inserts, root check included, in the same order, yielding
-        each block's version.  Every MAC check passes: the bytes are the
-        engine's own sealing of the mirror's counters, and nothing can
-        have changed them, since any access to them stores them first.
+        Charges the same metadata reads, leaves the same final cache
+        state and counts (:meth:`MEECache.replay_walks`, one call for the
+        range) and makes the same root check, yielding each block's
+        version up to the same failing block.  Every MAC check passes:
+        the bytes are the engine's own sealing of the mirror's counters,
+        and nothing can have changed them, since any access to them
+        stores them first.
         """
         geometry = self.geometry
         last = first + count - 1
@@ -734,28 +728,20 @@ class IntegrityTree:
         for level, (lo, hi) in enumerate(self.node_spans(first, last), start=1):
             self._charge(geometry.node_address(level, lo), (hi - lo + 1) * _RECORD_BYTES)
             self._charge(*self._children_extent(level, lo, hi))
-        cache = self.cache
         pending = self.pending
         top = geometry.levels
-        for block in range(first, last + 1):
-            version = cache.lookup((0, block)) if cache is not None else None
-            if version is None:
-                version = pending[0][block]
-                index = block
-                for level in range(1, top + 1):
-                    index //= ARITY
-                    if cache is not None and cache.lookup((level, index)) is not None:
-                        break
-                    counter = pending[level][index]
-                    if cache is not None:
-                        cache.insert((level, index), counter)
-                    if level == top and counter != self.root_counter:
-                        raise SecurityError(
-                            f"root counter mismatch: DRAM={counter} on-chip={self.root_counter}"
-                        )
-                if cache is not None:
-                    cache.insert((0, block), version)
-            yield version
+        counter = pending[top][0]
+        # the walk that reaches the top node fails there when it is not the root
+        stop = (top, 0) if counter != self.root_counter else None
+        if self.cache is None:
+            versions = [] if stop else [pending[0][block] for block in range(first, last + 1)]
+        else:
+            versions = self.cache.replay_walks(first, count, pending[0], pending[1:], ARITY, stop)
+        yield from versions
+        if len(versions) < count:
+            raise SecurityError(
+                f"root counter mismatch: DRAM={counter} on-chip={self.root_counter}"
+            )
 
     # --- initialization ------------------------------------------------------------------------
 

@@ -112,3 +112,63 @@ def test_pcm_traffic_is_pinned():
 
 def test_mee_cache_ablation_rows_are_pinned():
     assert mee_cache_ablation() == ABLATION_ROWS
+
+
+def cache_digest(engine):
+    """The ordered cache lines and counts, the root and the pending versions."""
+    cache = engine.cache
+    return {
+        "lines": [list(line.items()) for line in cache._lines.values()],
+        "counts": (cache.hits, cache.misses, cache.evictions),
+        "root": engine.tree.root_counter,
+        "versions": sorted(engine.tree.pending[0].items()),
+    }
+
+
+def bulk_cache_digest(seed=2020):
+    """Digest of the cache state along a seeded bulk save / restore sequence.
+
+    On the platform's protected-region geometry behind a 64x8 cache,
+    after some per-access traffic: a 200 KB bulk save, its restore (from
+    the pending write), a save that partly overlaps it with unaligned
+    edges, its restore, and a restore across both (sealed, from DRAM).
+    Each restore is checked against a shadow copy.
+    """
+    platform = SkylakePlatform(techniques=TechniqueSet.ctx_sgx_dram_only())
+    geometry = platform.mee.geometry
+    engine = MemoryEncryptionEngine(DRAMDevice("dram"), geometry, MASTER, MEECache(64, 8))
+    engine.initialize_region()
+    shadow = bytearray(engine.data_capacity)
+    rng = random.Random(seed)
+    for _ in range(200):
+        block = rng.randrange(geometry.data_blocks)
+        data = rng.randbytes(BLOCK_SIZE)
+        engine.write(block * BLOCK_SIZE, data)
+        shadow[block * BLOCK_SIZE : (block + 1) * BLOCK_SIZE] = data
+        engine.read(rng.randrange(geometry.data_blocks) * BLOCK_SIZE, BLOCK_SIZE)
+    states = []
+
+    def save(offset, length):
+        data = rng.randbytes(length)
+        engine.bulk_write(offset, data)
+        shadow[offset : offset + length] = data
+        states.append(cache_digest(engine))
+
+    def restore(offset, length):
+        data, _latency = engine.bulk_read(offset, length)
+        assert data == shadow[offset : offset + length]
+        states.append(cache_digest(engine))
+
+    size = 200 * 1024
+    save(0, size)
+    restore(0, size)
+    save(150 * 1024 + 17, 40 * 1024)
+    restore(150 * 1024 + 17, 40 * 1024)
+    restore(100 * 1024, 100 * 1024)
+    text = json.dumps(states, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_bulk_cache_state_is_pinned():
+    digest = bulk_cache_digest()
+    assert digest == "60f303ddec90b4b4757b47af5fcd95960d9ff170ee842fec8c17350627db3cb1"

@@ -173,6 +173,19 @@ class TestTamperDetection:
         with pytest.raises(SecurityError, match="root counter"):
             tree.verify_block(0, snapshot[block_addr])
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_pending_read_checks_the_root(self, cached):
+        """A read of a pending range write fails at the first block whose
+        walk reaches a top node the on-chip root disagrees with."""
+        _device, _geometry, tree = make_tree(cached=cached)
+        tree.update_range(2, bytes(4 * BLOCK_SIZE), lambda address, version, block: block)
+        assert list(tree.verify_pending(2, 4)) == [1, 1, 1, 1]
+        tree.root_counter += 1
+        if cached:
+            tree.cache.flush()
+        with pytest.raises(SecurityError, match="root counter mismatch: DRAM=4 on-chip=5"):
+            next(tree.verify_pending(2, 4))
+
     def test_version_rollback_under_valid_group_detected(self):
         device, geometry, tree = make_tree(cached=False)
         ciphertext = bytes(64)
