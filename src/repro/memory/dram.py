@@ -14,12 +14,24 @@ latency.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryFault
 from repro.memory.store import SparseMemory
 from repro.power.domain import Component
 from repro.units import GIB, PICOSECONDS_PER_SECOND
+
+
+class _LatencyMemo(dict):
+    """Latency in picoseconds per access length: a miss computes and keeps it."""
+
+    def __init__(self, latency_ps: Callable[[int], int]) -> None:
+        super().__init__()
+        self._latency_ps = latency_ps
+
+    def __missing__(self, length: int) -> int:
+        latency_ps = self[length] = self._latency_ps(length)
+        return latency_ps
 
 
 class DRAMState(enum.Enum):
@@ -68,7 +80,7 @@ class DRAMDevice:
         self.bytes_written = 0
         #: Latency in picoseconds per access length at the current
         #: frequency; :meth:`set_frequency` drops it.
-        self._costs: Dict[int, int] = {}
+        self._costs = _LatencyMemo(self.transfer_latency_ps)
         self._update_power()
 
     # --- derived quantities ------------------------------------------------
@@ -159,13 +171,6 @@ class DRAMDevice:
         streaming = length / self.bandwidth_bytes_per_s() * PICOSECONDS_PER_SECOND
         return self.base_access_latency_ps + round(streaming)
 
-    def _cost(self, length: int) -> int:
-        """Memoized latency of one ``length``-byte access."""
-        latency_ps = self._costs.get(length)
-        if latency_ps is None:
-            latency_ps = self._costs[length] = self.transfer_latency_ps(length)
-        return latency_ps
-
     def read(self, address: int, length: int) -> tuple:
         """Read bytes; returns ``(data, latency_ps)``."""
         (data,), latency_ps = self.read_spans(((address, length),))
@@ -177,16 +182,28 @@ class DRAMDevice:
         The one charging path of reads: each span is checked, read and
         charged (``bytes_read``) exactly as a lone
         :meth:`read` would be, in order, and the latencies are summed.
-        A fault leaves the spans before it charged.
+        The bytes come from one store gather
+        (:meth:`~repro.memory.store.SparseMemory.read_spans`).  A fault
+        leaves the spans before it charged.
         """
-        if spans:
-            self._check_accessible()  # the state cannot change mid-call
-        chunks = []
-        latency_ps = 0
-        for address, length in spans:
-            chunks.append(self._store.read(address, length))
-            self.bytes_read += length
-            latency_ps += self._costs.get(length) or self._cost(length)
+        if not spans:
+            return [], 0
+        self._check_accessible()  # the state cannot change mid-call
+        store = self._store
+        try:
+            chunks = store.read_spans(spans)
+        except MemoryFault:
+            # charge span by span up to the one that faults again
+            for address, length in spans:
+                store.read(address, length)
+                self.bytes_read += length
+            raise
+        costs = self._costs
+        latency_ps = read = 0
+        for _address, length in spans:
+            read += length
+            latency_ps += costs[length]
+        self.bytes_read += read
         return chunks, latency_ps
 
     def write(self, address: int, data: bytes) -> int:
@@ -194,7 +211,7 @@ class DRAMDevice:
         self._check_accessible()
         self._store.write(address, data)
         self.bytes_written += len(data)
-        return self._cost(len(data))
+        return self._costs[len(data)]
 
     # --- charges without the bytes (the MEE's deferred bulk transfers) --------------
 
@@ -202,10 +219,10 @@ class DRAMDevice:
         """Check and charge a ``length``-byte read as :meth:`read` would, reading nothing."""
         self._check_accessible()
         self.bytes_read += length
-        return self._cost(length)
+        return self._costs[length]
 
     def charge_write(self, address: int, length: int) -> int:
         """Check and charge a ``length``-byte write as :meth:`write` would, storing nothing."""
         self._check_accessible()
         self.bytes_written += length
-        return self._cost(length)
+        return self._costs[length]

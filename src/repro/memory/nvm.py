@@ -112,16 +112,27 @@ class NVMDevice:
         The one charging path of reads: each span is checked, read and
         charged (``bytes_read``) exactly as a lone
         :meth:`read` would be, in order, and the latencies are summed.
-        A fault leaves the spans before it charged.
+        The bytes come from one store gather
+        (:meth:`~repro.memory.store.SparseMemory.read_spans`).  A fault
+        leaves the spans before it charged.
         """
-        if spans:
-            self._check_powered()  # power cannot change mid-call
-        chunks = []
-        latency_ps = 0
-        for address, length in spans:
-            chunks.append(self._store.read(address, length))
-            self.bytes_read += length
+        if not spans:
+            return [], 0
+        self._check_powered()  # power cannot change mid-call
+        store = self._store
+        try:
+            chunks = store.read_spans(spans)
+        except MemoryFault:
+            # charge span by span up to the one that faults again
+            for address, length in spans:
+                store.read(address, length)
+                self.bytes_read += length
+            raise
+        latency_ps = read = 0
+        for _address, length in spans:
+            read += length
             latency_ps += self._read_cost(length)
+        self.bytes_read += read
         return chunks, latency_ps
 
     def _read_cost(self, length: int) -> int:

@@ -8,15 +8,15 @@ determinism).
 A store has one deferral slot.  An owner that has taken writes without
 storing their bytes yet (the MEE's bulk path, :mod:`repro.sgx.mee`)
 passes the spans those bytes will occupy to :meth:`SparseMemory.defer`.
-Any ``read``, ``write`` or ``erase`` that overlaps one first calls the
-owner's ``materialize()``, which stores them.  So every reader of the
-store, a tamper test writing to it included, sees the bytes as if they
-had been stored when they were written.
+Any ``read``, ``read_spans``, ``write`` or ``erase`` that overlaps one
+first calls the owner's ``materialize()``, which stores them.  So every
+reader of the store, a tamper test writing to it included, sees the
+bytes as if they had been stored when they were written.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryFault
 
@@ -84,16 +84,39 @@ class SparseMemory:
 
     def read(self, address: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``address``."""
+        return self.read_spans(((address, length),))[0]
+
+    def read_spans(self, spans: Sequence[Tuple[int, int]]) -> List[bytes]:
+        """:meth:`read` of each ``(address, length)`` span, in order, in one call.
+
+        A span inside one page is sliced here while the deferral slot is
+        empty; any other span settles, checks and joins its pages.  A bad
+        span raises :class:`~repro.errors.MemoryFault` after the spans
+        before it were read.
+        """
+        pages = self._pages
+        capacity = self.capacity_bytes
+        deferred = self._deferred is not None
+        chunks = []
+        for address, length in spans:
+            start = address % PAGE_SIZE
+            end = start + length
+            if not deferred and start <= end <= PAGE_SIZE and 0 <= address <= capacity - length:
+                page = pages.get(address // PAGE_SIZE)
+                if page is None:
+                    chunks.append(bytes([self.fill]) * length)
+                else:
+                    chunks.append(bytes(page[start:end]))
+            else:
+                chunks.append(self._read_range(address, length))
+        return chunks
+
+    def _read_range(self, address: int, length: int) -> bytes:
+        """One span, any length: settle the deferral, check, join its pages."""
         if self._deferred is not None:
             self._settle(address, length)
         self._check_range(address, length)
-        page_index, page_offset = divmod(address, PAGE_SIZE)
-        if page_offset + length <= PAGE_SIZE:
-            page = self._pages.get(page_index)
-            if page is None:
-                return bytes([self.fill]) * length
-            return bytes(page[page_offset : page_offset + length])
-        # multi-page: one join over whole pages and views, no per-page copy
+        # one join over whole pages and views, no per-page copy
         parts = []
         offset = 0
         while offset < length:
@@ -119,10 +142,18 @@ class SparseMemory:
         if self._deferred is not None:
             self._settle(address, length)
         self._check_range(address, length)
+        page_index, page_offset = divmod(address, PAGE_SIZE)
+        if 0 < length < PAGE_SIZE - page_offset:
+            # inside one page and not all of it: one slice assignment
+            page = self._pages.get(page_index)
+            if page is None:
+                page = self._pages[page_index] = bytearray([self.fill]) * PAGE_SIZE
+            page[page_offset : page_offset + length] = data
+            return
         # a write that spans pages is sliced through a view, so no chunk is
         # copied twice; a one-page write slices ``data`` itself, which for
         # ``bytes`` is no copy and costs less than making the view
-        if length > PAGE_SIZE - address % PAGE_SIZE:
+        if length > PAGE_SIZE - page_offset:
             data = memoryview(data)
         offset = 0
         while offset < length:

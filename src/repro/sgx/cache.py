@@ -23,6 +23,9 @@ from repro.errors import SecurityError
 
 CacheKey = Tuple[int, int]  # (tree level, node index)
 
+#: Level stride of the set mapping, (level * _LEVEL_STRIDE + index) % sets.
+_LEVEL_STRIDE = 1000003
+
 
 class MEECache:
     """Set-associative LRU cache of verified tree-node counters."""
@@ -50,21 +53,24 @@ class MEECache:
         # simulated eviction pattern — must not depend on the
         # interpreter's hash algorithm.
         level, index = key
-        return (level * 1000003 + index) % self.sets
+        return (level * _LEVEL_STRIDE + index) % self.sets
 
     def lookup(self, key: CacheKey) -> Optional[int]:
         """Return the cached counter for ``key``, or None on a miss."""
-        line = self._lines[self._set_number(key)]
-        if key in line:
-            line.move_to_end(key)
-            self.hits += 1
-            return line[key]
-        self.misses += 1
-        return None
+        level, index = key
+        line = self._lines[(level * _LEVEL_STRIDE + index) % self.sets]  # _set_number inline
+        counter = line.get(key)
+        if counter is None:
+            self.misses += 1
+            return None
+        line.move_to_end(key)
+        self.hits += 1
+        return counter
 
     def insert(self, key: CacheKey, counter: int) -> None:
         """Cache a verified counter, evicting LRU within the set."""
-        line = self._lines[self._set_number(key)]
+        level, index = key
+        line = self._lines[(level * _LEVEL_STRIDE + index) % self.sets]  # _set_number inline
         if key in line:
             line.move_to_end(key)
             line[key] = counter

@@ -15,7 +15,8 @@ access is charged to the backing device (latency + energy), which is what
 makes the MEE-cache ablation measurable.
 
 Per-block walks (:meth:`IntegrityTree.verify_block`,
-:meth:`IntegrityTree.update_block`) serve per-access reads and writes.
+:meth:`IntegrityTree.update_block`) serve per-access reads and writes,
+taking each node's spans and MAC label from a walk record built once.
 Bulk transfers use the range paths (:meth:`IntegrityTree.verify_range`,
 :meth:`IntegrityTree.update_range`), which read and write metadata as
 ranges and commit or check each node once per transfer, leaving exactly
@@ -30,7 +31,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import MemoryFault, SecurityError
 from repro.sgx.cache import MEECache
@@ -42,6 +43,20 @@ COUNTER_BYTES = 8
 MAC_BYTES = 8
 _RECORD = struct.Struct(f">Q{MAC_BYTES}s")  # one node: counter + MAC
 _RECORD_BYTES = _RECORD.size
+
+
+class _Node(NamedTuple):
+    """Walk record of one tree node: its layout, computed once.
+
+    ``walk`` is the reads a verify walk makes of the node on a cache
+    miss: its counter, its children's counters, its MAC.  A hit reads
+    ``walk[1:]``; an update reads ``walk[:1]``, then ``walk[1:-1]``.
+    """
+
+    address: int  # the counter; the MAC follows it
+    walk: Tuple[Tuple[int, int], ...]  # (address, length) per charged read
+    label: bytes  # b"node:{level}:{index}", the first input of the node's MAC
+    pad: bytes  # zero counters that fill a short last node's children to ARITY
 
 
 @dataclass(frozen=True)
@@ -156,6 +171,11 @@ class IntegrityTree:
     The per-block walks hand each run of consecutive reads to one
     ``read_spans`` call; the device charges every span as its own read,
     so the modeled accesses are those of one ``read`` per span.
+
+    Each node's layout (address, the spans a walk reads, the MAC label)
+    is a walk record (:class:`_Node`) built the first time a walk or a
+    bulk path touches the node and kept for the tree's life, so a walk
+    does no address arithmetic or range check per level.
     """
 
     def __init__(
@@ -178,6 +198,11 @@ class IntegrityTree:
         #: Pending range writes: (first block, last block, plaintext), disjoint.
         self._ranges: List[Tuple[int, int, bytes]] = []
         self._encrypt: Optional[Callable[[int, int, bytes], bytes]] = None
+        #: Walk records per level (1 first), index -> record, see _node().
+        self._nodes: List[Dict[int, _Node]] = [{} for _ in range(geometry.levels)]
+        self._data_offset = geometry.data_offset
+        self._versions_offset = geometry.versions_offset
+        self._leaf_macs_offset = geometry.leaf_macs_offset
 
     # --- raw metadata IO -------------------------------------------------------
 
@@ -187,16 +212,37 @@ class IntegrityTree:
         self.metadata_latency_ps += latency
         return data
 
-    def _read_spans(self, spans: List[Tuple[int, int]]) -> List[bytes]:
-        chunks, latency = self.device.read_spans(spans)
-        self.metadata_accesses += len(spans)
-        self.metadata_latency_ps += latency
-        return chunks
-
     def _write(self, address: int, data: bytes) -> None:
         latency = self.device.write(address, data)
         self.metadata_accesses += 1
         self.metadata_latency_ps += latency
+
+    # --- walk records ----------------------------------------------------------------
+
+    def _node(self, level: int, index: int) -> _Node:
+        """The walk record of node ``index`` at ``level``, built on first use."""
+        nodes = self._nodes[level - 1]
+        node = nodes.get(index)
+        if node is None:
+            geometry = self.geometry
+            address = geometry.node_address(level, index)  # checks level and index
+            first = index * ARITY
+            if level == 1:
+                count = min(first + ARITY, geometry.data_blocks) - first
+                children = [(geometry.version_address(first), count * COUNTER_BYTES)]
+            else:
+                count = min(first + ARITY, geometry.level_counts[level - 2]) - first
+                base = geometry.node_address(level - 1, first)
+                children = [
+                    (base + child * _RECORD_BYTES, COUNTER_BYTES) for child in range(count)
+                ]
+            node = nodes[index] = _Node(
+                address,
+                ((address, COUNTER_BYTES), *children, (address + COUNTER_BYTES, MAC_BYTES)),
+                f"node:{level}:{index}".encode("ascii"),
+                bytes((ARITY - count) * COUNTER_BYTES),
+            )
+        return node
 
     # --- counters -----------------------------------------------------------------
 
@@ -206,34 +252,7 @@ class IntegrityTree:
             cached = self.cache.lookup((0, block))
             if cached is not None:
                 return cached
-        value = unpack_counter(self._read(self.geometry.version_address(block), COUNTER_BYTES))
-        return value
-
-    def _children_reads(self, level: int, index: int) -> List[Tuple[int, int]]:
-        """The reads that fetch the counters of the children of node (level, index).
-
-        Level 1 reads its leaf versions as one range; higher levels read
-        each child's counter out of its counter+MAC record.
-        """
-        geometry = self.geometry
-        first = index * ARITY
-        if level == 1:
-            last = min(first + ARITY, geometry.data_blocks)
-            return [(geometry.version_address(first), (last - first) * COUNTER_BYTES)]
-        last = min(first + ARITY, geometry.level_counts[level - 2])
-        base = geometry.node_address(level - 1, first)
-        return [
-            (base + child * _RECORD_BYTES, COUNTER_BYTES) for child in range(last - first)
-        ]
-
-    @staticmethod
-    def _children(chunks: List[bytes]) -> bytes:
-        """Concatenated child counters, zero-padded to the fixed MAC input width."""
-        return b"".join(chunks).ljust(ARITY * COUNTER_BYTES, b"\0")
-
-    def _node_mac_input(self, level: int, index: int, counter: int, children: bytes) -> tuple:
-        label = f"node:{level}:{index}".encode("ascii")
-        return (label, pack_counter(counter), children)
+        return unpack_counter(self._read(self.geometry.version_address(block), COUNTER_BYTES))
 
     # --- verification walk ------------------------------------------------------------
 
@@ -244,55 +263,56 @@ class IntegrityTree:
         (cached counters are trusted).  Raises
         :class:`~repro.errors.SecurityError` on any mismatch.
         """
-        geometry = self.geometry
-        version_cached = None
-        if self.cache is not None:
-            version_cached = self.cache.lookup((0, block))
-        mac_span = (geometry.leaf_mac_address(block), MAC_BYTES)
-        if version_cached is not None:
-            version = version_cached
-            (stored_mac,) = self._read_spans([mac_span])
+        cache = self.cache
+        version = cache.lookup((0, block)) if cache is not None else None
+        self.geometry._check_block(block)
+        mac_span = (self._leaf_macs_offset + block * MAC_BYTES, MAC_BYTES)
+        if version is not None:
+            (stored_mac,), latency = self.device.read_spans((mac_span,))
+            self.metadata_accesses += 1
         else:
-            raw_version, stored_mac = self._read_spans(
-                [(geometry.version_address(block), COUNTER_BYTES), mac_span]
+            (raw_version, stored_mac), latency = self.device.read_spans(
+                ((self._versions_offset + block * COUNTER_BYTES, COUNTER_BYTES), mac_span)
             )
+            self.metadata_accesses += 2
+        self.metadata_latency_ps += latency
+        trusted = version is not None
+        if not trusted:
             version = unpack_counter(raw_version)
-        address = geometry.block_address(block)
+        address = self._data_offset + block * BLOCK_SIZE
         if not self.mac_key.verify(
             stored_mac, b"data", pack_counter(address), pack_counter(version), ciphertext
         ):
             raise SecurityError(f"data MAC mismatch on block {block}")
-        if version_cached is not None:
+        if trusted:
             return version  # the version itself was trusted; done
         self._verify_counters_upward(block, version)
-        if self.cache is not None:
-            self.cache.insert((0, block), version)
+        if cache is not None:
+            cache.insert((0, block), version)
         return version
 
     def _verify_counters_upward(self, block: int, leaf_version: int) -> None:
-        geometry = self.geometry
-        child_index = block
-        for level in range(1, geometry.levels + 1):
-            index = child_index // ARITY
-            node_address = geometry.node_address(level, index)
-            cached = self.cache.lookup((level, index)) if self.cache is not None else None
+        cache = self.cache
+        read_spans = self.device.read_spans
+        verify = self.mac_key.verify
+        top = self.geometry.levels
+        index = block
+        for level, nodes in enumerate(self._nodes, start=1):
+            index //= ARITY
+            _address, walk, label, pad = nodes.get(index) or self._node(level, index)
+            cached = cache.lookup((level, index)) if cache is not None else None
             # one device call per level: [counter on a miss,] children, MAC
-            spans = self._children_reads(level, index)
-            spans.append((node_address + COUNTER_BYTES, MAC_BYTES))
             if cached is None:
-                spans.insert(0, (node_address, COUNTER_BYTES))
-            chunks = self._read_spans(spans)
-            stored_mac = chunks.pop()
-            if cached is not None:
-                counter = cached
-                trusted = True
+                chunks, spent = read_spans(walk)
+                counter = unpack_counter(chunks[0])
+                children = b"".join(chunks[1:-1]) + pad
             else:
-                counter = unpack_counter(chunks.pop(0))
-                trusted = False
-            children = self._children(chunks)
-            if not self.mac_key.verify(
-                stored_mac, *self._node_mac_input(level, index, counter, children)
-            ):
+                chunks, spent = read_spans(walk[1:])
+                counter = cached
+                children = b"".join(chunks[:-1]) + pad
+            self.metadata_accesses += len(chunks)
+            self.metadata_latency_ps += spent
+            if not verify(chunks[-1], label, pack_counter(counter), children):
                 raise SecurityError(f"tree MAC mismatch at level {level} node {index}")
             if level == 1:
                 # confirm the leaf version we used is the one under this MAC
@@ -300,17 +320,16 @@ class IntegrityTree:
                 covered = unpack_counter(children[offset : offset + COUNTER_BYTES])
                 if covered != leaf_version:
                     raise SecurityError(f"leaf version replay on block {block}")
-            if trusted:
+            if cached is not None:
                 return  # cached counters are inside the security perimeter
-            if self.cache is not None:
-                self.cache.insert((level, index), counter)
-            if level == geometry.levels:
+            if cache is not None:
+                cache.insert((level, index), counter)
+            if level == top:
                 if counter != self.root_counter:
                     raise SecurityError(
                         f"root counter mismatch: DRAM={counter} on-chip={self.root_counter}"
                     )
                 return
-            child_index = index
 
     # --- update walk -----------------------------------------------------------------------
 
@@ -321,28 +340,34 @@ class IntegrityTree:
         this routine writes the leaf metadata and re-MACs every node on
         the path to the root, bumping each counter (and the on-chip root).
         """
-        geometry = self.geometry
-        self._write(geometry.version_address(block), pack_counter(new_version))
-        address = geometry.block_address(block)
-        leaf_mac = self.mac_key.tag(
-            b"data", pack_counter(address), pack_counter(new_version), ciphertext
-        )
-        self._write(geometry.leaf_mac_address(block), leaf_mac)
-        if self.cache is not None:
-            self.cache.insert((0, block), new_version)
+        self.geometry._check_block(block)
+        cache = self.cache
+        read_spans = self.device.read_spans
+        write = self._write
+        tag = self.mac_key.tag
+        write(self._versions_offset + block * COUNTER_BYTES, pack_counter(new_version))
+        address = self._data_offset + block * BLOCK_SIZE
+        leaf_mac = tag(b"data", pack_counter(address), pack_counter(new_version), ciphertext)
+        write(self._leaf_macs_offset + block * MAC_BYTES, leaf_mac)
+        if cache is not None:
+            cache.insert((0, block), new_version)
 
-        child_index = block
-        for level in range(1, geometry.levels + 1):
-            index = child_index // ARITY
-            node_address = geometry.node_address(level, index)
-            counter = unpack_counter(self._read(node_address, COUNTER_BYTES)) + 1
-            self._write(node_address, pack_counter(counter))
-            children = self._children(self._read_spans(self._children_reads(level, index)))
-            mac = self.mac_key.tag(*self._node_mac_input(level, index, counter, children))
-            self._write(node_address + COUNTER_BYTES, mac)
-            if self.cache is not None:
-                self.cache.insert((level, index), counter)
-            child_index = index
+        index = block
+        for level, nodes in enumerate(self._nodes, start=1):
+            index //= ARITY
+            address, walk, label, pad = nodes.get(index) or self._node(level, index)
+            (raw,), latency = read_spans(walk[:1])
+            self.metadata_accesses += 1
+            self.metadata_latency_ps += latency
+            counter = unpack_counter(raw) + 1
+            write(address, pack_counter(counter))
+            chunks, latency = read_spans(walk[1:-1])
+            self.metadata_accesses += len(chunks)
+            self.metadata_latency_ps += latency
+            mac = tag(label, pack_counter(counter), b"".join(chunks) + pad)
+            write(address + COUNTER_BYTES, mac)
+            if cache is not None:
+                cache.insert((level, index), counter)
         self.root_counter += 1
 
     # --- batched range paths (bulk FSM transfers) ----------------------------------------
@@ -387,7 +412,7 @@ class IntegrityTree:
             raw = b"".join(
                 raw[start : start + COUNTER_BYTES] for start in range(0, len(raw), _RECORD_BYTES)
             )
-        # zero counters pad the last node of a level, as in _children
+        # zero counters pad the last node of a level, as a walk record's pad does
         width = ARITY * COUNTER_BYTES
         raw = raw.ljust((hi - lo + 1) * width, b"\0")
         return [raw[start : start + width] for start in range(0, len(raw), width)]
@@ -420,10 +445,11 @@ class IntegrityTree:
         goes bottom-up and stores each level before the next one's.
         """
         records = []
+        tag = self.mac_key.tag
         children = self._children_span(level, lo, lo + len(counters) - 1, read)
         for index, counter, covered in zip(range(lo, lo + len(counters)), counters, children):
             records.append(pack_counter(counter))
-            records.append(self.mac_key.tag(*self._node_mac_input(level, index, counter, covered)))
+            records.append(tag(self._node(level, index).label, pack_counter(counter), covered))
         return self.geometry.node_address(level, lo), b"".join(records)
 
     # --- deferred sealing -----------------------------------------------------------------------
@@ -689,9 +715,8 @@ class IntegrityTree:
             cached = self.cache.lookup((level, index)) if self.cache is not None else None
             counter = cached if cached is not None else stored_counter
             if (level, index, counter) not in checked:
-                if not self.mac_key.verify(
-                    stored_mac, *self._node_mac_input(level, index, counter, covered)
-                ):
+                label = self._node(level, index).label
+                if not self.mac_key.verify(stored_mac, label, pack_counter(counter), covered):
                     raise SecurityError(f"tree MAC mismatch at level {level} node {index}")
                 checked.add((level, index, counter))
             if level == 1:

@@ -105,3 +105,20 @@ class TestTimingAndFrequency:
         dram = make_dram()
         with pytest.raises(MemoryFault):
             dram.set_frequency(0.0)
+
+    def test_zero_length_latency_is_memoized_once(self, monkeypatch):
+        """A memoized 0 (a zero-length access) is a hit, for reads and writes."""
+        lengths = []
+        latency = DRAMDevice.transfer_latency_ps
+
+        def counted(self, length):
+            lengths.append(length)
+            return latency(self, length)
+
+        monkeypatch.setattr(DRAMDevice, "transfer_latency_ps", counted)
+        dram = make_dram()
+        assert dram.read_spans([(0, 0), (8, 0), (16, 0)]) == ([b"", b"", b""], 0)
+        assert dram.write(0, b"") == 0
+        assert dram.read(0, 0) == (b"", 0)
+        assert dram.write(0, bytes(64)) == dram.read_spans([(0, 64)])[1] > 0
+        assert lengths == [0, 64]

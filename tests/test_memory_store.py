@@ -173,3 +173,73 @@ class TestAgainstFlatModel:
         out = memory.read(PAGE_SIZE - 1, 2 * PAGE_SIZE + 9)
         assert type(out) is bytes
         assert out == b"\xc3" * (PAGE_SIZE + 8) + b"\x00" + b"\xc3" * PAGE_SIZE
+
+
+class _Owner:
+    """A deferring owner that stores its held bytes when asked."""
+
+    def __init__(self, memory, address, data):
+        self.memory, self.address, self.data = memory, address, data
+        self.materialized = 0
+        memory.defer(self, [(address, len(data))])
+
+    def materialize(self):
+        self.materialized += 1
+        self.memory.release()
+        self.memory.write(self.address, self.data)
+
+
+def _fault(read, *args):
+    with pytest.raises(MemoryFault) as info:
+        read(*args)
+    return str(info.value)
+
+
+class TestReadSpans:
+    """``read_spans``: one gather that returns what per-span ``read`` does."""
+
+    @given(
+        fill=st.sampled_from([0x00, 0x5A]),
+        writes=st.lists(
+            st.tuples(st.integers(0, 3 * PAGE_SIZE), st.binary(min_size=1, max_size=200)),
+            max_size=5,
+        ),
+        spans=st.lists(
+            st.tuples(st.integers(0, 4 * PAGE_SIZE), st.integers(0, PAGE_SIZE + 100)),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_span_reads(self, fill, writes, spans):
+        memory = SparseMemory(4 * PAGE_SIZE, fill=fill)
+        for address, data in writes:
+            memory.write(address, data)
+        spans = [(address, min(length, 4 * PAGE_SIZE - address)) for address, length in spans]
+        chunks = memory.read_spans(spans)
+        assert all(type(chunk) is bytes for chunk in chunks)
+        assert chunks == [memory.read(address, length) for address, length in spans]
+
+    def test_overlapping_a_deferred_write_materializes_it_first(self):
+        memory = SparseMemory(2 * PAGE_SIZE)
+        owner = _Owner(memory, PAGE_SIZE - 4, b"held-bytes")
+        assert memory.read_spans([(0, 8)]) == [bytes(8)]  # no overlap: still held
+        assert owner.materialized == 0
+        assert memory.read_spans([(0, 8), (PAGE_SIZE, 4)]) == [bytes(8), b"-byt"]
+        assert owner.materialized == 1
+        assert memory.read_spans([(PAGE_SIZE - 4, 10)]) == [b"held-bytes"]
+        assert owner.materialized == 1
+
+    @pytest.mark.parametrize(
+        "span", [(-1, 4), (-PAGE_SIZE, 8), (8, -1), (2 * PAGE_SIZE - 4, 8), (2 * PAGE_SIZE, 1)]
+    )
+    def test_bad_span_raises_the_fault_read_raises(self, span):
+        memory = SparseMemory(2 * PAGE_SIZE)
+        want = _fault(memory.read, *span)
+        assert _fault(memory.read_spans, [(0, 8), span, (16, 8)]) == want
+
+    def test_fault_after_a_deferred_span_materialized_it(self):
+        memory = SparseMemory(2 * PAGE_SIZE)
+        owner = _Owner(memory, 64, b"held")
+        _fault(memory.read_spans, [(64, 4), (2 * PAGE_SIZE, 1)])
+        assert owner.materialized == 1
+        assert memory.read(64, 4) == b"held"
