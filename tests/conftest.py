@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from _platform import build_platform, small_context_config
+from repro.check.callgraph import graph_for_paths
 from repro.clocks.crystal import CrystalOscillator
 from repro.clocks.clock import DerivedClock
 from repro.config import PlatformConfig
 from repro.core.techniques import TechniqueSet
+from repro.lint.astcache import ModuleCache, default_source_root
 from repro.power.meter import EnergyMeter
 from repro.power.tree import PowerTree
 from repro.sim.kernel import Kernel
@@ -64,3 +66,14 @@ def fast_ctx_config() -> PlatformConfig:
 @pytest.fixture
 def baseline_platform() -> SkylakePlatform:
     return build_platform(TechniqueSet.baseline())
+
+
+@pytest.fixture(scope="session")
+def shipped_sources():
+    """One parse of the shipped ``repro`` sources for the gate tests.
+
+    ``(ModuleCache, CallGraph)`` over :func:`default_source_root`, the
+    way ``repro check`` shares one graph between its passes.
+    """
+    cache = ModuleCache()
+    return cache, graph_for_paths([default_source_root()], cache=cache)

@@ -14,10 +14,11 @@ import pytest
 from repro.check import (
     BUILTIN_INVARIANTS,
     CHECK_RULES,
-    analyze_source_root,
     check_model_view,
     check_standby_model,
 )
+from repro.check.dataflow import analyze_graph
+from repro.check.effects import analyze_effects_graph
 from repro.core.techniques import TechniqueSet
 from repro.lint import all_rules, validate_rule_patterns
 from repro.lint.diagnostics import render_text
@@ -52,18 +53,18 @@ def test_checker_gate_is_not_vacuous():
     assert {d.rule for d in report.diagnostics} == {"C201", "C203"}
 
 
-def test_repro_sources_pass_the_unit_dataflow():
-    diagnostics = analyze_source_root()
+def test_repro_sources_pass_the_unit_dataflow(shipped_sources):
+    _cache, graph = shipped_sources
+    diagnostics = analyze_graph(graph)
     assert diagnostics == [], describe(diagnostics)
 
 
-def test_repro_sources_pass_the_effects_analysis():
+def test_repro_sources_pass_the_effects_analysis(shipped_sources):
     """The shipped tree is effect-clean at every contract boundary —
     intentional instrumentation is declared with @declares_effects at the
     function that owns it, never pragma-silenced per file."""
-    from repro.check import analyze_effects_source_root
-
-    report = analyze_effects_source_root()
+    _cache, graph = shipped_sources
+    report = analyze_effects_graph(graph)
     assert report.diagnostics == [], describe(report.diagnostics)
     assert report.summary["converged"] is True
     # The discovery must actually see the shipped contract surface:

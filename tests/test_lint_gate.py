@@ -45,8 +45,9 @@ def test_model_walk_is_not_vacuous():
     assert {flow.name for flow in view.flows} == {"entry", "exit"}
 
 
-def test_repro_sources_are_clean():
-    diagnostics = lint_paths([default_source_root()])
+def test_repro_sources_are_clean(shipped_sources):
+    cache, _graph = shipped_sources
+    diagnostics = lint_paths([default_source_root()], cache=cache)
     assert diagnostics == [], describe(diagnostics)
 
 

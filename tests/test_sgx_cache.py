@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from mee_reference import walk_traffic, write_traffic
+
 from repro.errors import SecurityError
 from repro.sgx.cache import MEECache
 
@@ -86,41 +88,6 @@ class TestEviction:
             MEECache(**geometry)
 
 
-def reference_writes(cache, first, stored, nodes, arity):
-    """A range write's cache traffic as per-block lookups and inserts."""
-    versions = []
-    for position, block in enumerate(range(first, first + len(stored))):
-        cached = cache.lookup((0, block))
-        version = (cached if cached is not None else stored[position]) + 1
-        versions.append(version)
-        cache.insert((0, block), version)
-        index = block
-        for level, counters in enumerate(nodes, start=1):
-            index //= arity
-            cache.insert((level, index), counters[index])
-    return versions
-
-
-def reference_walks(cache, first, blocks, versions, nodes, arity, stop):
-    """Verify walks' cache traffic as per-block lookups and inserts."""
-    done = []
-    for block in range(first, first + blocks):
-        version = cache.lookup((0, block))
-        if version is None:
-            version = versions[block]
-            index = block
-            for level, counters in enumerate(nodes, start=1):
-                index //= arity
-                if cache.lookup((level, index)) is not None:
-                    break
-                cache.insert((level, index), counters[index])
-                if (level, index) == stop:
-                    return done
-            cache.insert((0, block), version)
-        done.append(version)
-    return done
-
-
 def cache_state(cache):
     return (
         [list(line.items()) for line in cache._lines.values()],
@@ -169,7 +136,7 @@ def warmed(sets, ways, prior):
 
 
 class TestReplayDifferential:
-    """The bulk replays against per-block lookups and inserts, generated.
+    """The bulk replays against the reference's per-block lookups and inserts, generated.
 
     Geometries of 1-64 sets and 1-8 ways, 1-4 tree levels, random prior
     lookups and inserts, ranges that cross node boundaries.  Wall
@@ -184,7 +151,7 @@ class TestReplayDifferential:
             sets, ways, arity, first, stored, values, prior, _stop = generated_case(seed)
             nodes = values[1:]
             want_cache = warmed(sets, ways, prior)
-            want = reference_writes(want_cache, first, stored, nodes, arity)
+            want = write_traffic(want_cache, first, stored, nodes)
             cache = warmed(sets, ways, prior)
             got = cache.replay_writes(first, stored, nodes, arity)
             assert (got, cache_state(cache)) == (want, cache_state(want_cache)), seed
@@ -201,11 +168,13 @@ class TestReplayDifferential:
         stopped = 0
         for seed in range(self.CASES):
             sets, ways, arity, first, stored, values, prior, stop = generated_case(seed)
-            args = (first, len(stored), values[0], values[1:], arity, stop)
+            # the walks stop at the top node only: its counter is not the root
+            top = values[-1][0]
+            root = top if stop is None else top + 1
             want_cache = warmed(sets, ways, prior)
-            want = reference_walks(want_cache, *args)
+            want = walk_traffic(want_cache, first, len(stored), values[0], values[1:], root)
             cache = warmed(sets, ways, prior)
-            got = cache.replay_walks(*args)
+            got = cache.replay_walks(first, len(stored), values[0], values[1:], arity, stop)
             assert (got, cache_state(cache)) == (want, cache_state(want_cache)), seed
             stopped += len(want) < len(stored)
         assert stopped  # some walks reach a failing top node

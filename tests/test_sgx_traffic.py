@@ -1,6 +1,6 @@
 """Traffic pin: the per-access MEE path charges the same DRAM accesses.
 
-A :class:`RecordingDevice` logs every charged access of a seeded
+A :class:`~mee_reference.RecordingDevice` logs every charged access of a seeded
 read/write/read-modify-write mix as ``(kind, address, length)``.  The
 digest of that log and of the latencies the engine returns is pinned,
 so a host-side speed-up of the tree walks cannot move a single modeled
@@ -11,6 +11,8 @@ way.
 import hashlib
 import json
 import random
+
+from mee_reference import RecordingDevice
 
 from repro.analysis.ablations import MEECacheRow, mee_cache_ablation
 from repro.core.techniques import TechniqueSet
@@ -41,27 +43,6 @@ ABLATION_ROWS = [
         cache_nodes=2048, hit_rate=0.4586206896551724, metadata_accesses_per_read=6.9475
     ),
 ]
-
-
-class RecordingDevice:
-    """Delegating device wrapper that logs every charged access."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.log = []
-
-    def read(self, address, length):
-        self.log.append(("read", address, length))
-        return self.inner.read(address, length)
-
-    def read_spans(self, spans):
-        spans = list(spans)
-        self.log.extend(("read", address, length) for address, length in spans)
-        return self.inner.read_spans(spans)
-
-    def write(self, address, data):
-        self.log.append(("write", address, len(data)))
-        return self.inner.write(address, data)
 
 
 def traffic_digest(inner, accesses=600, seed=2020):
