@@ -48,25 +48,16 @@ from repro.lint.source import lint_file, lint_paths, lint_source_text
 
 
 def all_rules():
-    """Every known rule as ``(rule_id, name)`` pairs, catalog order.
+    """Every known rule as ``(rule_id, name)`` pairs, read from
+    :func:`rule_catalog`, the single registry.
 
-    This is the single registry: the ``M``/``S`` series of the lint
-    passes, the pragma-hygiene rule (S407), and the ``C`` series of the
-    exhaustive model checker (:mod:`repro.check`).  Both ``repro lint``
+    It covers the ``M``/``S`` series of the lint passes, the
+    pragma-hygiene rule (S407), and the ``C`` series of the exhaustive
+    model checker (:mod:`repro.check`).  Both ``repro lint``
     and ``repro check`` validate ``--select``/``--ignore`` patterns
     against it, and the gate tests assert the ids are unique.
     """
-    from repro.check.rules import CHECK_RULES
-    from repro.lint.rules_model import MODEL_RULES
-    from repro.lint.rules_source import SOURCE_RULES
-    from repro.lint.source import S407_NAME, S407_RULE
-
-    pairs = [(rule.rule_id, rule.name) for rule in MODEL_RULES]
-    pairs.append((M307_RULE, M307_NAME))
-    pairs.extend((rule.rule_id, rule.name) for rule in SOURCE_RULES)
-    pairs.append((S407_RULE, S407_NAME))
-    pairs.extend((rule.rule_id, rule.name) for rule in CHECK_RULES)
-    return pairs
+    return [(entry["rule_id"], entry["name"]) for entry in rule_catalog()]
 
 
 def rule_catalog():
@@ -74,23 +65,23 @@ def rule_catalog():
 
     Each entry is a dict with ``rule_id``, ``name``, ``severity``
     (:class:`Severity`) and ``summary``.  This is the registry behind
-    ``repro lint --explain RULE`` / ``repro check --explain RULE``; it
-    covers the same rules as :func:`all_rules`, in the same order.
+    ``repro lint --explain RULE`` / ``repro check --explain RULE``, and
+    :func:`all_rules` reads its ids and names.
     """
     from repro.check.rules import CHECK_RULES
     from repro.lint.rules_model import MODEL_RULES
     from repro.lint.rules_source import SOURCE_RULES
     from repro.lint.source import S407_NAME, S407_RULE
 
-    entries = [
-        {
+    def entry(rule):
+        return {
             "rule_id": rule.rule_id,
             "name": rule.name,
             "severity": rule.severity,
             "summary": rule.summary,
         }
-        for rule in MODEL_RULES
-    ]
+
+    entries = [entry(rule) for rule in MODEL_RULES]
     # M307 and S407 are standalone passes without a *Rule dataclass;
     # their identity lives here so the explain registry stays complete.
     entries.append(
@@ -101,15 +92,7 @@ def rule_catalog():
             "summary": "experiment driver declares no golden-value coverage",
         }
     )
-    entries.extend(
-        {
-            "rule_id": rule.rule_id,
-            "name": rule.name,
-            "severity": rule.severity,
-            "summary": rule.summary,
-        }
-        for rule in SOURCE_RULES
-    )
+    entries.extend(entry(rule) for rule in SOURCE_RULES)
     entries.append(
         {
             "rule_id": S407_RULE,
@@ -118,15 +101,7 @@ def rule_catalog():
             "summary": "allow pragma names a rule id that exists in no catalog",
         }
     )
-    entries.extend(
-        {
-            "rule_id": rule.rule_id,
-            "name": rule.name,
-            "severity": rule.severity,
-            "summary": rule.summary,
-        }
-        for rule in CHECK_RULES
-    )
+    entries.extend(entry(rule) for rule in CHECK_RULES)
     return entries
 
 

@@ -9,8 +9,9 @@ The power model is a tree::
                         └── Component (a leaf load, piecewise-constant watts)
 
 Leaf components report power-level changes; the tree re-evaluates input
-(battery-side) power and streams it into an :class:`EnergyMeter`, which
-integrates energy exactly over the piecewise-constant intervals.
+(battery-side) power and records it on the trace.  The trace is the one
+energy record: measurements integrate its piecewise-constant power
+channels exactly (:func:`repro.measure.residency.integrate_joules`).
 
 This mirrors the paper's methodology: Fig. 1(b) is a component breakdown of
 platform DRIPS power *including* the power-delivery "tax" (Sec. 8, footnote:
@@ -20,7 +21,6 @@ battery).
 
 from repro.power.domain import Component, PowerDomain, Rail
 from repro.power.gates import BoardFETGate, EmbeddedPowerGate, PowerGate
-from repro.power.meter import EnergyMeter
 from repro.power.regulator import EfficiencyCurve, Regulator
 from repro.power.tree import PowerTree
 
@@ -29,7 +29,6 @@ __all__ = [
     "Component",
     "EfficiencyCurve",
     "EmbeddedPowerGate",
-    "EnergyMeter",
     "PowerDomain",
     "PowerGate",
     "PowerTree",

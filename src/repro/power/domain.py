@@ -7,7 +7,7 @@ fed by one :class:`~repro.power.regulator.Regulator`.
 
 Any leaf change propagates up to the owning
 :class:`~repro.power.tree.PowerTree`, which re-evaluates battery-side power
-(once per batch of same-instant changes) and updates the energy meter — so
+(once per batch of same-instant changes) and records it on the trace — so
 power accounting is exact at every event boundary without polling.
 """
 

@@ -29,8 +29,10 @@ class EfficiencyCurve:
             raise PowerError("efficiency curve needs at least one point")
         cleaned: List[Tuple[float, float]] = []
         for load, eff in sorted(points):
-            if load <= 0:
-                raise PowerError(f"efficiency point load must be positive: {load}")
+            if not 0 < load < math.inf:
+                raise PowerError(
+                    f"efficiency point load must be positive and finite: {load}"
+                )
             if not 0 < eff <= 1:
                 raise PowerError(f"efficiency must be in (0, 1]: {eff}")
             cleaned.append((load, eff))
@@ -81,8 +83,11 @@ class Regulator:
         quiescent_watts: float = 0.0,
         enabled: bool = True,
     ) -> None:
-        if quiescent_watts < 0:
-            raise PowerError(f"negative quiescent power on {name}")
+        if not 0 <= quiescent_watts < math.inf:
+            raise PowerError(
+                f"quiescent power on {name} must be finite and non-negative: "
+                f"{quiescent_watts!r}"
+            )
         self.name = name
         self.curve = curve
         self.quiescent_watts = quiescent_watts

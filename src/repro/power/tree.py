@@ -2,8 +2,10 @@
 
 The :class:`PowerTree` is the root of the power model.  Every change in a
 leaf component propagates here; the tree recomputes battery-side power,
-pushes it into the :class:`~repro.power.meter.EnergyMeter` and records it
-on the trace — once per :meth:`PowerTree.batch` when changes are batched.  It also produces the attributed per-component breakdown that
+records it on the trace — once per :meth:`PowerTree.batch` when changes
+are batched.  The trace is the platform's one energy record: every
+energy figure integrates its ``platform`` and ``rail:<name>`` channels.
+The tree also produces the attributed per-component breakdown that
 reproduces Fig. 1(b): each component is charged its share of the
 power-delivery loss of its rail (the "power-delivery tax" of Sec. 8).
 """
@@ -14,25 +16,22 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from repro.power.domain import Rail
-from repro.power.meter import EnergyMeter
 from repro.power.regulator import EfficiencyCurve, Regulator
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder
 
 
 class PowerTree:
-    """Aggregates rails, integrates energy, exposes breakdowns."""
+    """Aggregates rails, records platform power, exposes breakdowns."""
 
     PLATFORM_CHANNEL = "platform"
 
     def __init__(
         self,
         kernel: Kernel,
-        meter: Optional[EnergyMeter] = None,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.kernel = kernel
-        self.meter = meter if meter is not None else EnergyMeter()
         self.trace = trace
         self._rails: List[Rail] = []
         self._suspended = 0
@@ -111,8 +110,7 @@ class PowerTree:
 
         Every change inside the body lands at the current instant, so one
         evaluation at the end records the only value that holds for
-        non-zero time: the meter integrates nothing between same-instant
-        levels, and trace consumers drop zero-length intervals.
+        non-zero time: trace consumers drop zero-length intervals.
         """
         self.suspend_updates()
         try:
@@ -128,13 +126,10 @@ class PowerTree:
         now = self.kernel.now
         rail_watts = [rail.input_power() for rail in self._rails]
         total = sum(rail_watts)
-        # Only the platform total goes to the energy meter: per-rail numbers
-        # are views (available via rail.input_power()), and feeding them to
-        # the meter would double-count energy.  The trace, however, records
-        # per-rail channels too — that is what lets the simulated power
-        # analyzer measure individual rails like the paper's four-channel
-        # N6705B setup (Sec. 7).
-        self.meter.set_power(now, self.PLATFORM_CHANNEL, total)
+        # The platform channel carries the battery-side total; the per-rail
+        # channels are views of it (summing both would double-count energy)
+        # that let the simulated power analyzer measure individual rails
+        # like the paper's four-channel N6705B setup (Sec. 7).
         if self.trace is not None:
             self.trace.record(now, self.PLATFORM_CHANNEL, total)
             for rail, watts in zip(self._rails, rail_watts):

@@ -13,29 +13,28 @@ This module exploits that steady state in three stages:
   trace samples it appended (as channel/offset/value tuples relative to
   the cycle start, with the ``wake`` channel normalized because its
   value embeds the absolute wake time), its duration, its wake event,
-  its entry/exit flow latencies, the meter channel set, and the kernel's
-  pending-event signature at both boundaries.  Two consecutive cycles
-  with equal fingerprints prove periodic steady state.
+  its entry/exit flow latencies, and the kernel's pending-event
+  signature at both boundaries.  Two consecutive cycles with equal
+  fingerprints prove periodic steady state.
 * **Compile** — the matched cycle becomes a :class:`CompiledCycle`: its
-  duration, wake-event template, flow latencies, per-meter-channel
-  energy deltas, per-rail energies, and the cycle's merged
-  state-power *segment list* — the closed-form residency vector one
-  period contributes.  Compilation also proves the ledger balanced: the
-  per-rail trace energies of the cycle must sum to the platform-channel
-  energy within :attr:`MacroConfig.ledger_tolerance`, and every rail
-  channel must appear in the platform's declared macro ledger coverage
-  (lint rule M308 checks the same declaration statically).
+  duration, wake-event template, flow latencies, platform and per-rail
+  energies, and the cycle's merged state-power *segment list* — the
+  closed-form residency vector one period contributes.  Compilation
+  also proves the ledger balanced: the per-rail trace energies of the
+  cycle must sum to the platform-channel energy within
+  :data:`LEDGER_TOLERANCE`, and every rail channel must appear in the
+  platform's declared macro ledger coverage (lint rule M308 checks the
+  same declaration statically).
 * **Execute** — instead of re-simulating, the engine advances N cycles
   per macro-step in O(1) *simulation* work: it warps the kernel clock
-  (:meth:`~repro.sim.kernel.Kernel.warp`) past the skipped span, credits
-  the meter the compiled energy deltas
-  (:meth:`~repro.power.meter.EnergyMeter.inject`), extends the wake log
-  and flow statistics, and appends one *summary interval* per power
-  channel to the trace — the cycle-average power held across the span,
-  restored to the boundary value at span end — so naive trace consumers
-  (the analyzer, the obs energy ledger, Perfetto exports) integrate the
-  span to the right energy without per-cycle samples.  The state channel
-  carries the :data:`MACRO_STATE` marker across the span.
+  (:meth:`~repro.sim.kernel.Kernel.warp`) past the skipped span, extends
+  the wake log and flow statistics, and appends one *summary interval*
+  per power channel to the trace — the cycle-average power held across
+  the span, restored to the boundary value at span end.  The trace is the
+  platform's one energy record, so naive trace consumers (the analyzer,
+  the obs energy ledger, Perfetto exports) integrate the span to the
+  right energy without per-cycle samples.  The state channel carries
+  the :data:`MACRO_STATE` marker across the span.
 
 The measured results stay **bit-for-bit identical** to an event-by-event
 run for pure-periodic workloads: :func:`macro_residency_report` composes
@@ -100,18 +99,13 @@ MACRO_LEDGER_RAILS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class MacroConfig:
-    """Tuning knobs of the macro-stepping executor."""
+#: Completed cycles before a macro-step may engage.  Detection needs two
+#: consecutive bit-for-bit cycles regardless, so the earliest possible
+#: skip is at the end of cycle ``WARMUP_CYCLES + 2``.
+WARMUP_CYCLES = 1
 
-    #: Completed cycles before a macro-step may engage.  Detection needs
-    #: two consecutive bit-for-bit cycles regardless, so the earliest
-    #: possible skip is at the end of cycle ``max(warmup_cycles, 1) + 2``.
-    warmup_cycles: int = 1
-    #: Upper bound on cycles skipped per macro-step (None: no bound).
-    max_skip: Optional[int] = None
-    #: Relative slack for the compiled-segment ledger balance proof.
-    ledger_tolerance: float = 1e-9
+#: Relative slack for the compiled-segment ledger balance proof.
+LEDGER_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -141,7 +135,6 @@ class _Boundary:
     wake_index: int
     entry_len: int
     exit_len: int
-    meter_energy_j: Dict[str, float]
     pending: Tuple[Tuple[int, str], ...]
 
 
@@ -155,8 +148,6 @@ class CompiledCycle:
     wake_detail: str
     entry_latencies_ps: Tuple[int, ...]
     exit_latencies_ps: Tuple[int, ...]
-    #: Exact per-meter-channel joules of one cycle.
-    meter_delta_j: Dict[str, float]
     #: Battery-side joules of one cycle (ledger-balance audit trail).
     platform_energy_j: float
     #: Joules of one cycle per ``rail:<name>`` channel.
@@ -274,9 +265,8 @@ class MacroEngine:
     callback via :meth:`at_boundary`.
     """
 
-    def __init__(self, platform, config: Optional[MacroConfig] = None) -> None:
+    def __init__(self, platform) -> None:
         self.platform = platform
-        self.config = config if config is not None else MacroConfig()
         self.stats = MacroStats()
         #: Executed macro-steps, in time order — the spans
         #: :func:`macro_residency_report` replays analytically.
@@ -316,7 +306,7 @@ class MacroEngine:
             self._prev_fingerprint = fingerprint
             return 0
         # periodic steady state: two consecutive bit-for-bit cycles
-        if runner._cycles_done < max(self.config.warmup_cycles, 1) + 2:
+        if runner._cycles_done < WARMUP_CYCLES + 2:
             return 0
         remaining = runner._cycles_target - runner._cycles_done
         if remaining <= 0:
@@ -335,14 +325,12 @@ class MacroEngine:
 
     def _snapshot(self, runner, now: int) -> _Boundary:
         p = self.platform
-        p.meter.advance(now)
         return _Boundary(
             time_ps=now,
             trace_index=len(p.trace),
             wake_index=len(p.wake_log),
             entry_len=len(runner.flows.stats.entry_latencies_ps),
             exit_len=len(runner.flows.stats.exit_latencies_ps),
-            meter_energy_j={name: p.meter.energy(name) for name in p.meter.channels()},
             pending=p.kernel.pending_signature(),
         )
 
@@ -385,7 +373,6 @@ class MacroEngine:
             tuple(
                 runner.flows.stats.exit_latencies_ps[prev.exit_len : boundary.exit_len]
             ),
-            frozenset(boundary.meter_energy_j),
         )
         return fingerprint, wake
 
@@ -422,10 +409,6 @@ class MacroEngine:
         boundary_values = {POWER_CHANNEL: p.tree.platform_power()}
         for name in sorted(rail_energy):
             boundary_values[_RAIL_PREFIX + name] = p.tree.rail(name).input_power()
-        meter_delta = {
-            name: boundary.meter_energy_j[name] - prev.meter_energy_j.get(name, 0.0)
-            for name in boundary.meter_energy_j
-        }
         return CompiledCycle(
             duration_ps=duration,
             wake_offset_ps=wake_offset,
@@ -433,7 +416,6 @@ class MacroEngine:
             wake_detail=wake.detail,
             entry_latencies_ps=fingerprint[5],
             exit_latencies_ps=fingerprint[6],
-            meter_delta_j=meter_delta,
             platform_energy_j=platform_energy,
             rail_energy_j=rail_energy,
             segments=segments,
@@ -476,7 +458,7 @@ class MacroEngine:
         }
         rail_total = sum(rail_energy.values())
         platform_total = integrate_joules(trace, POWER_CHANNEL, start_ps, end_ps)
-        slack = self.config.ledger_tolerance * max(abs(platform_total), 1e-12)
+        slack = LEDGER_TOLERANCE * max(abs(platform_total), 1e-12)
         if abs(rail_total - platform_total) > slack:
             raise MacroError(
                 f"compiled segment ledger unbalanced: rails sum to {rail_total!r} J "
@@ -496,8 +478,6 @@ class MacroEngine:
         # trace consumers (the obs energy ledger, the analyzer) exact instead
         # of cycle-average-approximate at the window edge
         cap = remaining - 1
-        if self.config.max_skip is not None:
-            cap = min(cap, self.config.max_skip)
         skip = cap
         if runner.external_wakes:
             # consume one inter-wake draw per skipped cycle, exactly as the
@@ -545,10 +525,6 @@ class MacroEngine:
         if runner.period_s is not None:
             runner._period_index += skip
         p.kernel.warp(skip * period)
-        p.meter.inject(
-            end_ps,
-            {name: joules * skip for name, joules in compiled.meter_delta_j.items()},
-        )
         self.stats.cycles_compiled += skip
         self.stats.macro_steps += 1
         obs = p.obs

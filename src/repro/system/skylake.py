@@ -29,7 +29,6 @@ from repro.memory.region import MemoryRegion
 from repro.memory.sram import SRAMDevice
 from repro.memory.wear_leveling import RotatingContextAllocator
 from repro.obs.hook import active
-from repro.power.meter import EnergyMeter
 from repro.power.tree import PowerTree
 from repro.processor.boot import BootSRAM
 from repro.processor.core import ComputeDomain
@@ -82,8 +81,7 @@ class SkylakePlatform:
         # --- simulation backbone ------------------------------------------------
         self.kernel = Kernel()
         self.trace = TraceRecorder()
-        self.meter = EnergyMeter()
-        self.tree = PowerTree(self.kernel, self.meter, self.trace)
+        self.tree = PowerTree(self.kernel, self.trace)
 
         # every component lands at t = 0: one evaluation once wiring is done
         with self.tree.batch():

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.config import StandbyWorkloadConfig
 from repro.errors import WorkloadError
 from repro.io.wake import WakeEventType
 from repro.measure.residency import ResidencyReport, residency_report
 from repro.obs.tracer import MEASURE_TRACK
-from repro.sim.macro import MacroConfig, MacroEngine, macro_residency_report
+from repro.sim.macro import MacroEngine, macro_residency_report
 from repro.system.flows import FlowController
 from repro.system.skylake import SkylakePlatform
 from repro.system.states import PlatformState
@@ -76,7 +76,7 @@ class ConnectedStandbyRunner:
         randomize_maintenance: bool = False,
         external_wakes: bool = False,
         period_s: Optional[float] = None,
-        macro: Union[bool, MacroConfig] = False,
+        macro: bool = False,
     ) -> None:
         """``idle_interval_s`` schedules the wake relative to DRIPS entry
         (free-running mode).  ``period_s`` instead fixes the whole cycle
@@ -89,9 +89,8 @@ class ConnectedStandbyRunner:
         (:mod:`repro.sim.macro`): once two consecutive cycles match
         bit-for-bit the remaining periodic cycles are replayed
         analytically instead of simulated, with event-by-event fallback
-        at irregular points.  Pass a :class:`MacroConfig` to tune it.
-        Randomized maintenance defeats periodicity, so it disables the
-        engine.
+        at irregular points.  Randomized maintenance defeats periodicity,
+        so it disables the engine.
         """
         self.platform = platform
         self.workload = workload if workload is not None else StandbyWorkloadConfig()
@@ -110,17 +109,14 @@ class ConnectedStandbyRunner:
         self._stashed_wake_delay_s: Optional[float] = None
         self._macro_engine: Optional[MacroEngine] = None
         if macro and not randomize_maintenance:
-            config = macro if isinstance(macro, MacroConfig) else None
-            self._macro_engine = MacroEngine(platform, config)
+            self._macro_engine = MacroEngine(platform)
         self.flows = FlowController(platform)
         self.flows.set_active_callback(self._on_active)
         self._cycles_target = 0
         self._cycles_done = 0
-        self._warmup = 0
         self._cycle_start_ps = 0
         self._period_anchor_ps: Optional[int] = None
         self._period_index = 0
-        self._measure_start_ps: Optional[int] = None
         self._drips_breakdown: Dict[str, float] = {}
         self._finished = False
 
@@ -137,9 +133,6 @@ class ConnectedStandbyRunner:
 
     def _start_cycle(self) -> None:
         p = self.platform
-        if self._cycles_done == self._warmup and self._measure_start_ps is None:
-            self._measure_start_ps = p.kernel.now
-            p.meter.mark("standby-measure", p.kernel.now)
         self._cycle_start_ps = p.kernel.now
         # maintenance work is fixed in cycles at the reference clock
         work_cycles = round(self._maintenance_seconds() * REFERENCE_GHZ * 1e9)
@@ -218,9 +211,9 @@ class ConnectedStandbyRunner:
     def _on_active(self, _event) -> None:
         self._cycles_done += 1
         engine = self._macro_engine
-        if engine is not None and self._cycles_done < self._cycles_target + self._warmup:
+        if engine is not None and self._cycles_done < self._cycles_target:
             self._cycles_done += engine.at_boundary(self)
-        if self._cycles_done >= self._cycles_target + self._warmup:
+        if self._cycles_done >= self._cycles_target:
             self._finished = True
             return
         self._start_cycle()
@@ -243,13 +236,11 @@ class ConnectedStandbyRunner:
             p.boot()
         # one extra cycle supplies the closing wake of the window
         self._cycles_target = cycles + warmup_cycles + 1
-        self._warmup = 0
         self._cycles_done = 0
         self._finished = False
-        self._measure_start_ps = None
         if self._macro_engine is not None:
-            # fresh detector state per run; the config carries over
-            self._macro_engine = MacroEngine(p, self._macro_engine.config)
+            # fresh detector state per run
+            self._macro_engine = MacroEngine(p)
         self._start_cycle()
         # generous event budget: each cycle is a handful of events
         p.kernel.run(max_events=self._cycles_target * 10_000 + 100_000)
@@ -267,7 +258,6 @@ class ConnectedStandbyRunner:
             obs.set_window(window_start, window_end)
             window = obs.begin("measure:window", window_start, track=MEASURE_TRACK)
             obs.end(window, window_end)
-        p.meter.advance(p.kernel.now)
         engine = self._macro_engine
         if engine is not None and engine.spans:
             # compiled spans carry summary trace records only; compose the

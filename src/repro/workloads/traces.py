@@ -220,7 +220,6 @@ class TraceDrivenRunner:
             raise WorkloadError("trace replay did not finish; event budget exhausted")
         window_start = self._measure_start_ps
         window_end = p.kernel.now
-        p.meter.advance(window_end)
         report = residency_report(p.trace, window_start, window_end)
         return StandbyResult(
             cycles=len(self.trace.events),

@@ -11,7 +11,6 @@ from repro.clocks.clock import DerivedClock
 from repro.config import PlatformConfig
 from repro.core.techniques import TechniqueSet
 from repro.lint.astcache import ModuleCache, default_source_root
-from repro.power.meter import EnergyMeter
 from repro.power.tree import PowerTree
 from repro.sim.kernel import Kernel
 from repro.sim.trace import TraceRecorder
@@ -29,13 +28,8 @@ def trace() -> TraceRecorder:
 
 
 @pytest.fixture
-def meter() -> EnergyMeter:
-    return EnergyMeter()
-
-
-@pytest.fixture
-def tree(kernel, meter, trace) -> PowerTree:
-    return PowerTree(kernel, meter, trace)
+def tree(kernel, trace) -> PowerTree:
+    return PowerTree(kernel, trace)
 
 
 @pytest.fixture

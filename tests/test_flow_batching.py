@@ -17,6 +17,7 @@ import pytest
 from repro.config import StandbyWorkloadConfig
 from repro.core.odrips import ODRIPSController
 from repro.core.techniques import TechniqueSet
+from repro.measure.residency import integrate_joules
 from repro.processor.cstates import CState
 from repro.system.flows import FlowController
 from repro.system.states import STATE_CHANNEL
@@ -131,8 +132,8 @@ def test_batched_shallow_idle_matches_per_change_evaluation(technique, state, wa
     reference = _unbatched(run)
     end_ps = reference.kernel.now
     assert batched.kernel.now == end_ps
-    assert batched.meter.energy("platform", up_to_ps=end_ps) == reference.meter.energy(
-        "platform", up_to_ps=end_ps
+    assert integrate_joules(batched.trace, "platform", 0, end_ps) == integrate_joules(
+        reference.trace, "platform", 0, end_ps
     )
     reference_last = _last_values(reference.trace)
     assert _last_values(batched.trace) == reference_last

@@ -6,15 +6,18 @@ every accounting invariant must hold at the end — the closest thing to
 the paper's week-on-the-bench soak test.
 """
 
+import math
+
 import pytest
 
 from repro.core.techniques import TechniqueSet
 from repro.io.wake import WakeEventType
+from repro.measure.residency import integrate_joules, residency_report
 from repro.memory.dvfs import MemoryDVFSGovernor
 from repro.processor.cstates import CState
 from repro.system.flows import FlowController
 from repro.system.states import PlatformState
-from repro.units import PICOSECONDS_PER_SECOND, ms_to_ps
+from repro.units import ms_to_ps
 
 from _platform import build_platform
 
@@ -76,15 +79,19 @@ class TestDayInTheLife:
         assert kinds.count(WakeEventType.TIMER) == 9
 
     def test_energy_accounting_consistent(self, day_run):
-        """Exact meter integral == trace-integral over the whole run."""
+        """Platform energy == the rails' energy == the residency energy."""
         platform, _flows, _governor, _log = day_run
+        trace = platform.trace
         end = platform.kernel.now
-        platform.meter.advance(end)
-        meter_energy = platform.meter.energy("platform")
-        trace_energy = 0.0
-        for lo, hi, watts in platform.trace.intervals("platform", end):
-            trace_energy += watts * (hi - lo) / PICOSECONDS_PER_SECOND
-        assert meter_energy == pytest.approx(trace_energy, rel=1e-9)
+        platform_energy = integrate_joules(trace, "platform", 0, end)
+        rail_energy = math.fsum(
+            integrate_joules(trace, f"rail:{rail.name}", 0, end)
+            for rail in platform.tree.rails
+        )
+        residency_energy = math.fsum(residency_report(trace, 0, end).energy_j.values())
+        assert platform_energy > 0
+        assert platform_energy == pytest.approx(rail_energy, rel=1e-9)
+        assert platform_energy == pytest.approx(residency_energy, rel=1e-9)
 
     def test_dvfs_governor_retrained_each_cycle(self, day_run):
         _platform, _flows, governor, _log = day_run

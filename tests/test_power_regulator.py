@@ -5,6 +5,8 @@ import pytest
 from repro.errors import PowerError
 from repro.power.regulator import EfficiencyCurve, Regulator
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
 
 class TestEfficiencyCurve:
     def test_constant_curve(self):
@@ -33,6 +35,13 @@ class TestEfficiencyCurve:
             EfficiencyCurve([(-1.0, 0.5)])
         with pytest.raises(PowerError):
             EfficiencyCurve([(1.0, 1.5)])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_load_point_rejected(self, bad):
+        with pytest.raises(PowerError, match="positive and finite"):
+            EfficiencyCurve([(bad, 0.9)])
+        with pytest.raises(PowerError, match="positive and finite"):
+            EfficiencyCurve([(0.01, 0.5), (bad, 0.9)])
 
     def test_unsorted_points_are_sorted(self):
         curve = EfficiencyCurve([(1.0, 0.9), (0.01, 0.5)])
@@ -79,6 +88,11 @@ class TestRegulator:
     def test_negative_quiescent_rejected(self):
         with pytest.raises(PowerError):
             Regulator("vr", EfficiencyCurve.constant(1.0), quiescent_watts=-0.1)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_quiescent_rejected(self, bad):
+        with pytest.raises(PowerError, match="finite and non-negative"):
+            Regulator("vr", EfficiencyCurve.constant(1.0), quiescent_watts=bad)
 
     def test_drips_efficiency_of_the_paper(self):
         """Sec. 8 footnote: a 10 mW load costs 10/0.74 = 13.51 mW."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.measure.residency import integrate_joules
 from repro.power.gates import BoardFETGate, EmbeddedPowerGate
 from repro.units import SECOND
 
@@ -14,13 +15,15 @@ class TestAggregation:
         rail_b.new_domain("db").new_component("cb", 0.2)
         assert tree.platform_power() == pytest.approx(0.3)
 
-    def test_meter_follows_changes(self, tree, kernel, meter):
+    def test_meter_follows_changes(self, tree, kernel, trace):
+        """The trace's platform channel is the energy record."""
         rail = tree.new_rail("a", 1.0)
         component = rail.new_domain("d").new_component("c", 1.0)
         kernel.advance_to(SECOND)
         component.set_leakage(3.0)
-        assert meter.power("platform") == pytest.approx(3.0)
-        assert meter.energy("platform", up_to_ps=2 * SECOND) == pytest.approx(1.0 + 3.0)
+        assert trace.last("platform").value == pytest.approx(3.0)
+        energy = integrate_joules(trace, "platform", 0, 2 * SECOND)
+        assert energy == pytest.approx(1.0 + 3.0)
 
     def test_trace_records_platform_power(self, tree, trace):
         rail = tree.new_rail("a", 1.0)
@@ -71,7 +74,7 @@ class TestSuspension:
         assert len(trace) == before
         assert trace.last("platform").time_ps == 0
 
-    def test_nested_batches_record_once_at_outer_exit(self, tree, kernel, trace, meter):
+    def test_nested_batches_record_once_at_outer_exit(self, tree, kernel, trace):
         rail = tree.new_rail("a", 1.0)
         component = rail.new_domain("d").new_component("c", 0.1)
         kernel.advance_to(100)
@@ -81,13 +84,12 @@ class TestSuspension:
                 component.set_leakage(0.3)
             assert len(trace) == before  # the inner exit only unnests
             component.set_dynamic(0.2)
-            assert meter.power("platform") == pytest.approx(0.1)
+            assert trace.last("platform").value == pytest.approx(0.1)
         assert [(s.time_ps, s.channel) for s in trace.samples()[before:]] == [
             (100, "platform"),
             (100, "rail:a"),
         ]
         assert trace.last("platform").value == pytest.approx(0.5)
-        assert meter.power("platform") == pytest.approx(0.5)
 
     def test_change_reverted_inside_batch_still_records(self, tree, kernel, trace):
         """A change marks the instant even when the level ends unchanged."""

@@ -8,7 +8,8 @@ from mee_generator import FIELDS, KINDS, Differential, check_cases, generated_ca
 
 from repro.clocks.clock import DerivedClock
 from repro.clocks.crystal import CrystalOscillator
-from repro.power.meter import EnergyMeter
+from repro.measure.residency import integrate_joules
+from repro.sim.trace import TraceRecorder
 from repro.timers.calibration import StepCalibrator
 from repro.timers.dual_timer import ChipsetDualTimer
 from repro.units import PICOSECONDS_PER_SECOND, SECOND
@@ -27,18 +28,16 @@ class TestMeterProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_integration_matches_sum_of_rectangles(self, steps):
-        """Meter energy == sum(power * duration) for any step sequence."""
-        meter = EnergyMeter()
+        """Trace energy == sum(power * duration) for any step sequence."""
+        trace = TraceRecorder()
         now = 0
         expected = 0.0
-        previous_power = 0.0
         for duration, power in steps:
-            meter.set_power(now, "x", power)
-            expected_piece = power * duration / PICOSECONDS_PER_SECOND
+            trace.record(now, "x", power)
             now += duration
-            expected += expected_piece
-            previous_power = power
-        assert meter.energy("x", up_to_ps=now) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            expected += power * duration / PICOSECONDS_PER_SECOND
+        energy = integrate_joules(trace, "x", 0, now)
+        assert energy == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     @given(
         st.lists(st.floats(min_value=0, max_value=5.0), min_size=2, max_size=10),
@@ -46,11 +45,21 @@ class TestMeterProperties:
     )
     @settings(max_examples=30, deadline=None)
     def test_total_equals_sum_of_channels(self, powers, window):
-        meter = EnergyMeter()
+        """The platform channel's energy is the sum of the rail channels'."""
+        from repro.power.tree import PowerTree
+        from repro.sim.kernel import Kernel
+
+        trace = TraceRecorder()
+        tree = PowerTree(Kernel(), trace)
         for index, power in enumerate(powers):
-            meter.set_power(0, f"ch{index}", power)
-        total = meter.total_energy(up_to_ps=window)
-        parts = sum(meter.energy(f"ch{index}") for index in range(len(powers)))
+            tree.new_rail(f"ch{index}", 1.0).new_domain(f"d{index}").new_component(
+                f"c{index}", power
+            )
+        total = integrate_joules(trace, "platform", 0, window)
+        parts = sum(
+            integrate_joules(trace, f"rail:ch{index}", 0, window)
+            for index in range(len(powers))
+        )
         assert total == pytest.approx(parts)
 
 
@@ -308,7 +317,7 @@ class PowerTreeOracle(RuleBasedStateMachine):
     """Generated power trees under generated mutation sequences.
 
     After every step the tree's answers (``platform_power``,
-    ``attributed_breakdown``, and the meter and trace values of the last
+    ``attributed_breakdown``, and the trace records of the last
     propagation) must equal an uncached recomputation from the leaves,
     bit for bit.  A mutation that skips the rail notification leaves a
     stale rail memo behind and fails here.
@@ -319,9 +328,8 @@ class PowerTreeOracle(RuleBasedStateMachine):
         from repro.power.regulator import EfficiencyCurve
         from repro.power.tree import PowerTree
         from repro.sim.kernel import Kernel
-        from repro.sim.trace import TraceRecorder
 
-        self.tree = PowerTree(Kernel(), EnergyMeter(), TraceRecorder())
+        self.tree = PowerTree(Kernel(), TraceRecorder())
         self.domains = []
         self.components = []
         self.depth = 0
@@ -421,7 +429,6 @@ class PowerTreeOracle(RuleBasedStateMachine):
         rail_watts = uncached_rail_watts(self.tree)
         trace = self.tree.trace
         assert trace.last("platform").value == sum(rail_watts)
-        assert self.tree.meter.power("platform") == sum(rail_watts)
         for rail, watts in zip(self.tree.rails, rail_watts):
             assert trace.last(f"rail:{rail.name}").value == watts
 

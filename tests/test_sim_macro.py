@@ -15,16 +15,16 @@ import pytest
 from repro.config import StandbyWorkloadConfig, skylake_config
 from repro.core.odrips import ODRIPSController
 from repro.core.techniques import TechniqueSet
-from repro.errors import MacroError, MeasurementError, SimulationError
+from repro.errors import MacroError, SimulationError
+from repro.io.wake import WakeEventType
 from repro.lint.model import lint_model_view, walk_model
 from repro.obs.ledger import EnergyLedger
 from repro.obs.hook import observe
 from repro.obs.runlog import RunRecorder
 from repro.obs.tracer import MACRO_TRACK, Tracer
 from repro.perf import SimulationCache
-from repro.power.meter import EnergyMeter
 from repro.sim.kernel import Kernel
-from repro.sim.macro import MacroConfig, cycles_for_horizon
+from repro.sim.macro import cycles_for_horizon
 from repro.system.skylake import SkylakePlatform
 from repro.workloads.standby import ConnectedStandbyRunner
 
@@ -37,6 +37,15 @@ def _run(cycles, macro=False, workload=None, **runner_kwargs):
         platform, workload=workload, macro=macro, **runner_kwargs
     )
     return runner.run(cycles=cycles), runner
+
+
+@pytest.fixture(scope="module")
+def external_wake_runs():
+    """Exact and macro runs of 30 cycles with injected network wakes."""
+    workload = StandbyWorkloadConfig(external_wake_rate_per_hour=20.0)
+    exact, _ = _run(cycles=30, workload=workload, external_wakes=True)
+    macro, runner = _run(cycles=30, workload=workload, external_wakes=True, macro=True)
+    return exact, macro, runner
 
 
 class TestDifferentialEquivalence:
@@ -67,11 +76,9 @@ class TestDifferentialEquivalence:
         assert macro.residency == exact.residency
         assert macro.wake_events == exact.wake_events
 
-    def test_external_wake_fallback_within_tolerance(self):
+    def test_external_wake_fallback_within_tolerance(self, external_wake_runs):
         """A mid-horizon external wake de-compiles; totals still match."""
-        workload = StandbyWorkloadConfig(external_wake_rate_per_hour=20.0)
-        exact, _ = _run(cycles=30, workload=workload, external_wakes=True)
-        macro, _ = _run(cycles=30, workload=workload, external_wakes=True, macro=True)
+        exact, macro, _ = external_wake_runs
         stats = macro.macro
         assert stats["cycles_compiled"] > 0
         assert stats["fingerprint_mismatches"] > 0  # wakes broke periodicity
@@ -82,13 +89,23 @@ class TestDifferentialEquivalence:
         assert macro.residency.dwell_ps == exact.residency.dwell_ps
         assert macro.wake_events == exact.wake_events
 
-    def test_max_skip_bounds_each_span(self):
-        macro, runner = _run(cycles=20, macro=MacroConfig(max_skip=5))
-        engine = runner._macro_engine
-        assert engine.spans and all(span.cycles <= 5 for span in engine.spans)
-        assert macro.macro["macro_steps"] >= 2
-        exact, _ = _run(cycles=20)
+    def test_external_wakes_bound_each_span(self, external_wake_runs):
+        """Spans stop before every injected wake; the run stays bit-for-bit."""
+        exact, macro, runner = external_wake_runs
+        spans = runner._macro_engine.spans
+        assert len(spans) >= 2 and macro.macro["macro_steps"] == len(spans)
+        injected = [
+            event.time_ps
+            for event in runner.platform.wake_log
+            if event.event_type is WakeEventType.NETWORK
+        ]
+        assert injected
+        assert not [t for t in injected for s in spans if s.start_ps <= t < s.end_ps]
         assert macro.average_power_w == exact.average_power_w
+        assert macro.residency.energy_j == exact.residency.energy_j
+        assert macro.entry_latencies_ps == exact.entry_latencies_ps
+        assert macro.exit_latencies_ps == exact.exit_latencies_ps
+        assert macro.wake_events == exact.wake_events
 
     def test_randomized_maintenance_disables_engine(self):
         result, runner = _run(cycles=3, macro=True, randomize_maintenance=True)
@@ -174,27 +191,6 @@ class TestKernelWarp:
         assert before == ((100, "sooner"), (500, "later"))
         kernel.warp(10_000)
         assert kernel.pending_signature() == before
-
-
-class TestMeterInject:
-    def test_inject_credits_energy_and_advances_anchor(self):
-        meter = EnergyMeter()
-        meter.set_power(0, "a", 2.0)
-        meter.set_power(0, "b", 1.0)
-        meter.advance(10**12)  # 1 s: a=2 J, b=1 J
-        meter.inject(3 * 10**12, {"a": 42.0})
-        # a credited directly; b integrated across the span at its level
-        assert meter.energy("a") == 44.0
-        assert meter.energy("b") == 3.0
-        # the anchor moved: no double counting on the next advance
-        meter.advance(3 * 10**12)
-        assert meter.energy("a") == 44.0
-
-    def test_inject_backwards_rejected(self):
-        meter = EnergyMeter()
-        meter.set_power(10**12, "a", 1.0)
-        with pytest.raises(MeasurementError):
-            meter.inject(0, {"a": 1.0})
 
 
 class TestIntegrationSeams:
