@@ -144,6 +144,10 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "a host-side speed-up of the per-access walks must not add modeled DRAM traffic",
     ),
     BenchPolicy(
+        "mee_region_setup", "speedup", "floor", 10.0,
+        "a later region set-up must replay the sealed version-0 image, not re-seal it",
+    ),
+    BenchPolicy(
         "explain_fig2_delta", "speedup", "floor", 1.5,
         "explaining a cached pair must reuse the memoized run profiles",
     ),

@@ -23,7 +23,9 @@ ranges and commit or check each node once per transfer, leaving exactly
 the state the per-block walks would.  A range write seals its bytes
 only when something could observe them (:meth:`IntegrityTree.materialize`);
 until then a bulk read of it is served from the held plaintext
-(:meth:`IntegrityTree.verify_pending`).
+(:meth:`IntegrityTree.verify_pending`).  Region set-up stores a
+version-0 image (:func:`seal_initial_image`) computed without the
+device (:meth:`IntegrityTree.initialize`).
 """
 
 from __future__ import annotations
@@ -57,6 +59,58 @@ class _Node(NamedTuple):
     walk: Tuple[Tuple[int, int], ...]  # (address, length) per charged read
     label: bytes  # b"node:{level}:{index}", the first input of the node's MAC
     pad: bytes  # zero counters that fill a short last node's children to ARITY
+
+
+def _label(level: int, index: int) -> bytes:
+    """The first input of node ``index``'s MAC at ``level``."""
+    return f"node:{level}:{index}".encode("ascii")
+
+
+def _covered(level: int, raw: bytes, nodes: int) -> List[bytes]:
+    """Per node of a run of ``nodes`` at ``level``, the child counters its MAC covers.
+
+    ``raw`` is the bytes of their children: leaf versions at level 1,
+    else the level below's records, whose counters are taken.  Zero
+    counters pad the last node of a level, as a walk record's pad does.
+    """
+    if level > 1:
+        raw = b"".join(
+            raw[start : start + COUNTER_BYTES] for start in range(0, len(raw), _RECORD_BYTES)
+        )
+    width = ARITY * COUNTER_BYTES
+    raw = raw.ljust(nodes * width, b"\0")
+    return [raw[start : start + width] for start in range(0, len(raw), width)]
+
+
+def _node_records(
+    mac_key: MacKey, level: int, lo: int, counters: List[int], covered: List[bytes]
+) -> bytes:
+    """Counter + MAC of nodes ``lo..`` at ``level``, each MAC over its ``covered`` children."""
+    records = []
+    tag = mac_key.tag
+    for index, counter, children in zip(range(lo, lo + len(counters)), counters, covered):
+        records.append(pack_counter(counter))
+        records.append(tag(_label(level, index), pack_counter(counter), children))
+    return b"".join(records)
+
+
+def _leaf_writes(
+    geometry: TreeGeometry, mac_key: MacKey, first: int, versions: List[int], ciphertext: bytes
+) -> Iterator[Tuple[int, bytes]]:
+    """The two range writes (versions, then data MACs) of consecutive blocks."""
+    base = geometry.block_range_address(first, len(versions))
+    tag = mac_key.tag
+    macs = [
+        tag(
+            b"data",
+            pack_counter(base + start),
+            pack_counter(version),
+            ciphertext[start : start + BLOCK_SIZE],
+        )
+        for start, version in zip(range(0, len(ciphertext), BLOCK_SIZE), versions)
+    ]
+    yield geometry.version_address(first), b"".join(map(pack_counter, versions))
+    yield geometry.leaf_mac_address(first), b"".join(macs)
 
 
 @dataclass(frozen=True)
@@ -173,9 +227,10 @@ class IntegrityTree:
     so the modeled accesses are those of one ``read`` per span.
 
     Each node's layout (address, the spans a walk reads, the MAC label)
-    is a walk record (:class:`_Node`) built the first time a walk or a
-    bulk path touches the node and kept for the tree's life, so a walk
-    does no address arithmetic or range check per level.
+    is a walk record (:class:`_Node`), built for every node at region
+    set-up (or by the first path that needs a missing one) and kept for
+    the tree's life, so a walk does no address arithmetic or range
+    check per level.
     """
 
     def __init__(
@@ -239,7 +294,7 @@ class IntegrityTree:
             node = nodes[index] = _Node(
                 address,
                 ((address, COUNTER_BYTES), *children, (address + COUNTER_BYTES, MAC_BYTES)),
-                f"node:{level}:{index}".encode("ascii"),
+                _label(level, index),
                 bytes((ARITY - count) * COUNTER_BYTES),
             )
         return node
@@ -408,49 +463,19 @@ class IntegrityTree:
         ``read`` defaults to the charged :meth:`_read`.
         """
         raw = (read or self._read)(*self._children_extent(level, lo, hi))
-        if level > 1:
-            raw = b"".join(
-                raw[start : start + COUNTER_BYTES] for start in range(0, len(raw), _RECORD_BYTES)
-            )
-        # zero counters pad the last node of a level, as a walk record's pad does
-        width = ARITY * COUNTER_BYTES
-        raw = raw.ljust((hi - lo + 1) * width, b"\0")
-        return [raw[start : start + width] for start in range(0, len(raw), width)]
-
-    def _leaf_writes(
-        self, first: int, versions: List[int], ciphertext: bytes
-    ) -> Iterator[Tuple[int, bytes]]:
-        """The two range writes (versions, then data MACs) of consecutive blocks."""
-        geometry = self.geometry
-        base = geometry.block_range_address(first, len(versions))
-        tag = self.mac_key.tag
-        macs = [
-            tag(
-                b"data",
-                pack_counter(base + start),
-                pack_counter(version),
-                ciphertext[start : start + BLOCK_SIZE],
-            )
-            for start, version in zip(range(0, len(ciphertext), BLOCK_SIZE), versions)
-        ]
-        yield geometry.version_address(first), b"".join(map(pack_counter, versions))
-        yield geometry.leaf_mac_address(first), b"".join(macs)
+        return _covered(level, raw, hi - lo + 1)
 
     def _node_write(
-        self, level: int, lo: int, counters: List[int], read: Optional[Callable] = None
+        self, level: int, lo: int, counters: List[int], read: Callable[[int, int], bytes]
     ) -> Tuple[int, bytes]:
         """The range write of counter + MAC of nodes ``lo..`` at ``level``.
 
         Each MAC covers the children ``read`` returns now, so a caller
         goes bottom-up and stores each level before the next one's.
         """
-        records = []
-        tag = self.mac_key.tag
         children = self._children_span(level, lo, lo + len(counters) - 1, read)
-        for index, counter, covered in zip(range(lo, lo + len(counters)), counters, children):
-            records.append(pack_counter(counter))
-            records.append(tag(self._node(level, index).label, pack_counter(counter), covered))
-        return self.geometry.node_address(level, lo), b"".join(records)
+        records = _node_records(self.mac_key, level, lo, counters, children)
+        return self.geometry.node_address(level, lo), records
 
     # --- deferred sealing -----------------------------------------------------------------------
     #
@@ -649,7 +674,7 @@ class IntegrityTree:
                 for start, version in zip(range(0, len(plaintext), BLOCK_SIZE), versions)
             )
             sealed.append((base, ciphertext))
-            yield from self._leaf_writes(first, versions, ciphertext)
+            yield from _leaf_writes(self.geometry, self.mac_key, first, versions, ciphertext)
         for level in range(1, self.geometry.levels + 1):
             counters = self.pending[level]
             run: List[int] = []
@@ -770,24 +795,60 @@ class IntegrityTree:
 
     # --- initialization ------------------------------------------------------------------------
 
-    def initialize(self, ciphertext: Optional[bytes] = None) -> None:
-        """Write a consistent version-0 metadata state (region setup).
+    def initialize(self, image: RegionImage) -> None:
+        """Store ``image``'s version-0 metadata (region set-up).
 
-        Every leaf version is 0 with a valid MAC over the block's initial
-        ciphertext, every node counter is 0 with a valid MAC over its
-        children — so the very first verified read of an untouched block
-        succeeds.  ``ciphertext`` is the initial content of every block,
-        concatenated (the MEE passes encrypted zeros); by default the raw
-        zero blocks are assumed.
+        Settles any pending write, then makes the eager set-up's device
+        calls in its order: the versions write, the leaf MACs write, and
+        per level bottom-up the charged read of the children its MACs
+        cover and the write of its records.  Every node's walk record is
+        built, the root goes to 0 and the cache is flushed.  ``image``
+        (:func:`seal_initial_image`) holds every byte, so no MAC is
+        computed here; the caller has stored its ciphertext.
         """
-        blocks = self.geometry.data_blocks
-        if ciphertext is None:
-            ciphertext = bytes(blocks * BLOCK_SIZE)
+        geometry = self.geometry
         self.materialize()  # settle pending writes before overwriting them
-        for address, data in self._leaf_writes(0, [0] * blocks, ciphertext):
-            self._write(address, data)
-        for level, (lo, hi) in enumerate(self.node_spans(0, blocks - 1), start=1):
-            self._write(*self._node_write(level, lo, [0] * (hi - lo + 1)))
+        self._write(geometry.versions_offset, image.versions)
+        self._write(geometry.leaf_macs_offset, image.macs)
+        for level, (count, records) in enumerate(zip(geometry.level_counts, image.records), 1):
+            self._read(*self._children_extent(level, 0, count - 1))
+            self._write(geometry.level_offset(level), records)
+            if len(self._nodes[level - 1]) < count:
+                for index in range(count):
+                    self._node(level, index)  # the level's walk records, side by side
         self.root_counter = 0
         if self.cache is not None:
             self.cache.flush()
+
+
+class RegionImage(NamedTuple):
+    """A protected region's version-0 bytes: everything its set-up stores.
+
+    Every leaf version and node counter is 0, and every MAC is valid, so
+    the first verified read of an untouched block succeeds.
+    """
+
+    ciphertext: bytes  # every data block, at the geometry's data offset
+    versions: bytes  # the leaf versions
+    macs: bytes  # the data MACs
+    records: Tuple[bytes, ...]  # per level, 1 first: every node's counter + MAC
+
+
+def seal_initial_image(geometry: TreeGeometry, mac_key: MacKey, ciphertext: bytes) -> RegionImage:
+    """The version-0 image of a region whose blocks hold ``ciphertext``, concatenated.
+
+    A pure function of its arguments: each node's MAC covers the
+    children computed just before it, not bytes read from a device, and
+    the records equal what the eager set-up's MACs over the stored
+    children would be.
+    """
+    blocks = geometry.data_blocks
+    versions, macs = (data for _address, data in _leaf_writes(
+        geometry, mac_key, 0, [0] * blocks, ciphertext
+    ))
+    records = []
+    below = versions
+    for level, nodes in enumerate(geometry.level_counts, start=1):
+        below = _node_records(mac_key, level, 0, [0] * nodes, _covered(level, below, nodes))
+        records.append(below)
+    return RegionImage(ciphertext, versions, macs, tuple(records))

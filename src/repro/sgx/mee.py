@@ -14,14 +14,56 @@ hits, which is what the cache-size ablation measures.
 
 from __future__ import annotations
 
+import hashlib
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.effects import declares_effects
 from repro.errors import SecurityError
 from repro.sgx.cache import MEECache
 from repro.sgx.crypto import CtrCipher, MacKey, derive_key
-from repro.sgx.integrity_tree import BLOCK_SIZE, IntegrityTree, TreeGeometry
+from repro.sgx.integrity_tree import (
+    BLOCK_SIZE,
+    IntegrityTree,
+    RegionImage,
+    TreeGeometry,
+    seal_initial_image,
+)
+
+#: Version-0 region images sealed in this process, by fingerprint of the
+#: engine's derived keys and geometry (:meth:`MemoryEncryptionEngine.initialize_region`),
+#: least recently used first.  Every platform seals the same region under
+#: the same key, so one entry serves every boot; the bound keeps regions
+#: of other sizes or keys from piling up.
+_IMAGES: "OrderedDict[bytes, RegionImage]" = OrderedDict()
+_IMAGE_SLOTS = 2
+
+
+def region_image(geometry: TreeGeometry, cipher: CtrCipher, mac_key: MacKey) -> RegionImage:
+    """The version-0 image of ``geometry``'s region: every block a sealed zero block."""
+    zero_block = bytes(BLOCK_SIZE)
+    ciphertext = b"".join(
+        cipher.encrypt(geometry.block_address(block), 0, zero_block)
+        for block in range(geometry.data_blocks)
+    )
+    return seal_initial_image(geometry, mac_key, ciphertext)
+
+
+@declares_effects("module-state")  # a bounded memo of a pure function: results never see it
+def _memoized_image(
+    fingerprint: bytes, geometry: TreeGeometry, cipher: CtrCipher, mac_key: MacKey
+) -> RegionImage:
+    """:func:`region_image` from :data:`_IMAGES`, sealed and kept on a miss."""
+    image = _IMAGES.get(fingerprint)
+    if image is None:
+        image = _IMAGES[fingerprint] = region_image(geometry, cipher, mac_key)
+        if len(_IMAGES) > _IMAGE_SLOTS:
+            _IMAGES.popitem(last=False)
+    else:
+        _IMAGES.move_to_end(fingerprint)
+    return image
 
 
 @dataclass
@@ -59,8 +101,13 @@ class MemoryEncryptionEngine:
         self.device = device
         self.geometry = geometry
         self.cache = cache if cache is not None else MEECache()
-        self._cipher = CtrCipher(derive_key(master_key, "mee-encrypt"))
-        self._mac = MacKey(derive_key(master_key, "mee-mac"))
+        cipher_key = derive_key(master_key, "mee-encrypt")
+        mac_key = derive_key(master_key, "mee-mac")
+        self._cipher = CtrCipher(cipher_key)
+        self._mac = MacKey(mac_key)
+        layout = repr((geometry.region_base, geometry.data_blocks, geometry.level_counts))
+        #: Names this engine's region image in :data:`_IMAGES`; never the keys themselves.
+        self._image_key = hashlib.sha256(cipher_key + mac_key + layout.encode()).digest()
         self.tree = IntegrityTree(geometry, device, self._mac, self.cache)
         self.stats = MEEStats()
         self._powered = True
@@ -69,19 +116,22 @@ class MemoryEncryptionEngine:
     # --- lifecycle ---------------------------------------------------------
 
     def initialize_region(self) -> None:
-        """Zero the region and set up consistent metadata (once per region).
+        """Zero the region and set up consistent metadata (once per reset).
 
         Every data block is written as the version-0 ciphertext of a zero
         block, so a fresh region reads back as zeros through the engine —
         and the at-rest bytes are still keystream, never plaintext.
+
+        The image of those bytes (:func:`region_image`) depends only on
+        the derived keys and the geometry, so it is sealed once per
+        process and replayed at every later set-up.  It is complete
+        before the first device call, and the device calls are the same
+        either way: the data write, then :meth:`IntegrityTree.initialize`.
+        A device that faults part-way leaves what an eager set-up leaves.
         """
-        zero_block = bytes(BLOCK_SIZE)
-        ciphertext = b"".join(
-            self._cipher.encrypt(self.geometry.block_address(block), 0, zero_block)
-            for block in range(self.geometry.data_blocks)
-        )
-        self.device.write(self.geometry.data_offset, ciphertext)
-        self.tree.initialize(ciphertext)
+        image = _memoized_image(self._image_key, self.geometry, self._cipher, self._mac)
+        self.device.write(self.geometry.data_offset, image.ciphertext)
+        self.tree.initialize(image)
         self._initialized = True
 
     @property

@@ -24,13 +24,14 @@ error and leave the same root, cache, stats and pages.
 
 import random
 
-from mee_reference import RecordingDevice, reference_engine
+from mee_reference import RecordingDevice, reference_engine, shipped_engine
 
 from repro.errors import MemoryFault, SecurityError
 from repro.memory.dram import DRAMDevice
 from repro.memory.nvm import PCMDevice
 from repro.sgx.cache import MEECache
-from repro.sgx.integrity_tree import ARITY, BLOCK_SIZE, COUNTER_BYTES, IntegrityTree, TreeGeometry
+from repro.sgx.integrity_tree import ARITY, BLOCK_SIZE, COUNTER_BYTES, TreeGeometry
+from repro.sgx.mee import _IMAGES
 
 MASTER = b"fuse-master-key-0123456789abcdef"
 REGION_BASE = 1 << 16
@@ -145,17 +146,25 @@ def generated_case(seed, kinds=KINDS, fields=FIELDS, pcm=0.2, steps=None):
     return (blocks, cache, device_kind, clear_records), planner
 
 
-def make_side(shipped, blocks, cache, device_kind, clear_records, source=None):
-    """``(engine, inner device, recording device)``, initialized or a copy of ``source``'s."""
+def image_path(engine):
+    """How a shipped ``engine``'s next set-up gets its region image: built or replayed."""
+    return ("image", "replayed" if engine._image_key in _IMAGES else "built")
+
+
+def make_side(shipped, blocks, cache, device_kind, clear_records, source=None, seen=None):
+    """``(engine, inner device, recording device)``, initialized or a copy of ``source``'s.
+
+    A shipped side's set-up adds its :func:`image_path` to ``seen``.
+    """
     pcm = device_kind == "pcm"
     inner = PCMDevice(capacity_bytes=CAPACITY) if pcm else DRAMDevice("dram", CAPACITY)
     device = RecordingDevice(inner)
     geometry = TreeGeometry.for_data_size(REGION_BASE, blocks * BLOCK_SIZE)
     cache = MEECache(*cache) if cache else None
-    engine = reference_engine(device, geometry, MASTER, cache)
-    if shipped:
-        engine.tree = IntegrityTree(geometry, device, engine._mac, cache)
+    engine = (shipped_engine if shipped else reference_engine)(device, geometry, MASTER, cache)
     if source is None:
+        if shipped and seen is not None:
+            seen.add(image_path(engine))
         engine.initialize_region()
     else:
         pages = source[1]._store._pages
@@ -317,7 +326,8 @@ class Differential:
     on DRAM, the shipped per-access twin.
 
     :attr:`seen` collects what the case covered: its cache, device and
-    padding, every op kind and feature stepped, each tamper field,
+    padding, each shipped set-up's :func:`image_path`, every op kind and
+    feature stepped, each tamper field,
     ``("served",)`` for a bulk read served from a pending save, and
     ``("twin", since)`` for a bulk transfer checked against the twin
     after the tamper field (or ``"replay"``, or None) last applied.
@@ -328,7 +338,8 @@ class Differential:
     def __init__(self, seed, blocks, cache, device_kind, clear_records):
         case = (blocks, cache, device_kind, clear_records)
         self.seed = seed
-        self.sides = [make_side(shipped, *case) for shipped in (False, True)]
+        self.seen = {("cache", cache), ("device", device_kind)}
+        self.sides = [make_side(shipped, *case, seen=self.seen) for shipped in (False, True)]
         if device_kind == "dram":  # the twin starts from the shipped engine's set-up bytes
             self.sides.append(make_side(True, *case, source=self.sides[1]))
         self.memos = [{"startup": engine.export_state()} for engine, _inner, _device in self.sides]
@@ -338,7 +349,6 @@ class Differential:
         self.moved = False  # something other than a write moved the root or blocks_written
         self.since = None
         self.position = 0
-        self.seen = {("cache", cache), ("device", device_kind)}
         geometry = self.reference.geometry
         if all(count % ARITY for count in (blocks,) + geometry.level_counts[:-1]):
             self.seen.add(("padded everywhere", geometry.levels))
@@ -351,6 +361,8 @@ class Differential:
         self.position += 1
         kind = step[0]
         seen.add(("op", kind))
+        if kind == "initialize":
+            seen.add(image_path(shipped))
         if kind in ("read", "write") + BULK:
             shown = features(step, shipped.tree).items()
             seen.update(("op", name) for name, drawn in shown if drawn)

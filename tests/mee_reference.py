@@ -26,7 +26,7 @@ from itertools import count
 from repro.errors import SecurityError
 from repro.sgx.cache import MEECache
 from repro.sgx.crypto import pack_counter, unpack_counter
-from repro.sgx.integrity_tree import ARITY, BLOCK_SIZE, COUNTER_BYTES, MAC_BYTES
+from repro.sgx.integrity_tree import ARITY, BLOCK_SIZE, COUNTER_BYTES, MAC_BYTES, IntegrityTree
 from repro.sgx.mee import MemoryEncryptionEngine
 
 RECORD_BYTES = COUNTER_BYTES + MAC_BYTES  # one tree node: counter + MAC
@@ -388,8 +388,30 @@ class ReferenceTree:
         pass
 
 
+class ReferenceEngine(MemoryEncryptionEngine):
+    """The shipped engine pipeline over a :class:`ReferenceTree`, set up eagerly."""
+
+    def initialize_region(self):
+        """Encrypt a zero block per block, store them, then :meth:`ReferenceTree.initialize`."""
+        geometry = self.geometry
+        ciphertext = b"".join(
+            self._cipher.encrypt(geometry.block_address(block), 0, bytes(BLOCK_SIZE))
+            for block in range(geometry.data_blocks)
+        )
+        self.device.write(geometry.data_offset, ciphertext)
+        self.tree.initialize(ciphertext)
+        self._initialized = True
+
+
 def reference_engine(device, geometry, master_key, cache=None):
-    """The shipped engine pipeline over a :class:`ReferenceTree`; ``cache`` None walks uncached."""
-    engine = MemoryEncryptionEngine(device, geometry, master_key, cache or MEECache(1, 1))
+    """A :class:`ReferenceEngine`; ``cache`` None walks uncached."""
+    engine = ReferenceEngine(device, geometry, master_key, cache or MEECache(1, 1))
     engine.tree = ReferenceTree(geometry, device, engine._mac, cache)
+    return engine
+
+
+def shipped_engine(device, geometry, master_key, cache=None):
+    """The shipped engine and tree, built as :func:`reference_engine` builds its own."""
+    engine = MemoryEncryptionEngine(device, geometry, master_key, cache or MEECache(1, 1))
+    engine.tree = IntegrityTree(geometry, device, engine._mac, cache)
     return engine

@@ -4,11 +4,14 @@
 generator, every op kind mixed, in lockstep on the shipped engine, the
 reference and (on DRAM) the shipped per-access twin; see
 :mod:`mee_generator` for what is drawn and compared.  This test asserts
-that the mix covers every cache, device, tamper field and op kind, and
-that every reachable error occurs.
+that the mix covers every cache, device, tamper field and op kind and
+both set-up paths (a region image built and one replayed), and that
+every reachable error occurs.
 """
 
 from mee_generator import BULK, CACHES, FIELDS, KINDS, check_cases
+
+from repro.sgx.mee import _IMAGE_SLOTS, _IMAGES
 
 
 class TestMEEDifferential:
@@ -25,6 +28,8 @@ class TestMEEDifferential:
         assert {("device", "pcm"), ("device", "dram")} <= seen
         assert {("tamper", field) for field in FIELDS} <= seen
         assert {("padded everywhere", 5), ("served",)} <= seen
+        assert {("image", "built"), ("image", "replayed")} <= seen
+        assert len(_IMAGES) <= _IMAGE_SLOTS  # many geometries, a bounded memo
         ops = set(KINDS) - {"partial", "span", "save", "restore", "save_restore", "overlap"}
         ops |= {"snapshot", "multi-block", "16-byte read-modify-write", "empty bulk"}
         ops |= set(BULK) | {"unaligned bulk", "save over part of a pending save"}

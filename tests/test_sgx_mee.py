@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mee_reference import RecordingDevice, reference_engine, shipped_engine
 
 from repro.errors import MemoryFault, SecurityError
 from repro.memory.dram import DRAMDevice
@@ -12,7 +13,8 @@ from repro.memory.nvm import PCMDevice
 from repro.sgx.cache import MEECache
 from repro.sgx.crypto import pack_counter
 from repro.sgx.integrity_tree import TreeGeometry
-from repro.sgx.mee import MemoryEncryptionEngine
+from repro.sgx.mee import _IMAGE_SLOTS, _IMAGES, MemoryEncryptionEngine
+from repro.system.skylake import DEFAULT_MEE_MASTER_KEY
 
 MASTER = b"fuse-master-key-0123456789abcdef"
 REGION_BASE = 1 << 20
@@ -143,6 +145,60 @@ class TestLifecycle:
         _device, mee = make_mee()
         with pytest.raises(SecurityError):
             mee.import_state(b"short")
+
+
+class TestRegionSetUp:
+    """Set-up seals a region's version-0 image once per process and replays it."""
+
+    def test_each_key_gets_its_own_image(self):
+        """Engines under two master keys, set up alternately, each read back zeros
+        from their own image, and a replayed set-up stores the first one's bytes."""
+        geometry = TreeGeometry.for_data_size(REGION_BASE, 8192)
+        sides = []
+        for key in (b"k" * 32, DEFAULT_MEE_MASTER_KEY) * 2:
+            device = DRAMDevice("dram", capacity_bytes=4 << 20)
+            mee = MemoryEncryptionEngine(device, geometry, key, MEECache())
+            mee.initialize_region()
+            assert mee._image_key in _IMAGES
+            assert mee.read(0, 8192)[0] == bytes(8192)
+            sides.append((mee._image_key, device._store._pages))
+        assert sides[0][0] != sides[1][0]
+        assert [key for key, _pages in sides[2:]] == [key for key, _pages in sides[:2]]
+        assert sides[0][1] != sides[1][1]  # a keystream and MACs of each key
+        assert sides[2][1] == sides[0][1] and sides[3][1] == sides[1][1]
+        assert len(_IMAGES) <= _IMAGE_SLOTS
+
+    @pytest.mark.parametrize("endurance", range(6))
+    def test_pcm_wearing_out_in_set_up_ends_as_eager_set_up(self, endurance):
+        """A PCM that wears out during set-up (the data write, the versions, the
+        MACs or a level's records) ends in the eager set-up's state with its
+        error, whether the image is built or replayed."""
+        geometry = TreeGeometry.for_data_size(REGION_BASE + 2048, 4096)
+        ends = []
+        for make in (reference_engine, shipped_engine, shipped_engine):
+            device = PCMDevice(capacity_bytes=8 << 20)
+            device.endurance_cycles = endurance
+            recording = RecordingDevice(device)
+            mee = make(recording, geometry, MASTER, MEECache(4, 2))
+            if len(ends) == 1:
+                _IMAGES.pop(mee._image_key, None)  # the first shipped set-up builds
+            if len(ends) == 2:
+                assert mee._image_key in _IMAGES  # the second replays
+            try:
+                mee.initialize_region()
+                error = None
+            except MemoryFault as fault:
+                error = str(fault)
+            tree = mee.tree
+            ends.append((
+                error, mee._initialized, recording.log, device._store._pages,
+                device.bytes_written, device.bytes_read, device.wear_level_report(),
+                tree.metadata_accesses, tree.metadata_latency_ps,
+            ))
+        assert ends[1] == ends[0]
+        assert ends[2] == ends[0]
+        # endurance 0-4 fault the data, versions, MACs, level-1 and level-2 writes
+        assert (ends[0][0] is None) == (endurance == 5)
 
 
 class TestBulkTransfers:

@@ -11,6 +11,7 @@ from repro.sgx.integrity_tree import (
     BLOCK_SIZE,
     IntegrityTree,
     TreeGeometry,
+    seal_initial_image,
 )
 from repro.units import GIB
 
@@ -23,7 +24,8 @@ def make_tree(data_size=8 * 1024, cached=True):
     geometry = TreeGeometry.for_data_size(REGION_BASE, data_size)
     mac = MacKey(derive_key(MASTER, "mac"))
     tree = IntegrityTree(geometry, device, mac, MEECache() if cached else None)
-    tree.initialize()
+    # the raw zero blocks as the initial content
+    tree.initialize(seal_initial_image(geometry, mac, bytes(geometry.data_blocks * BLOCK_SIZE)))
     return device, geometry, tree
 
 
