@@ -474,11 +474,11 @@ def test_standby_exact_cycles(benchmark, emit):
     """Ten event-by-event ODRIPS-MRAM standby cycles, no external wakes.
 
     Each cycle captures and saves the SA + cores/graphics context (one
-    SHAKE-256 call per image on the first cycle, a one-byte rotation
-    after) and re-evaluates battery-side power once per flow segment,
-    so this row watches context capture and power-tree propagation,
-    the host cost of every exact cycle (and of the macro engine's
-    fallbacks).
+    SHAKE-256 call per image in the process, then a one-byte rotation
+    per cycle) and re-evaluates battery-side power once per flow
+    segment, so this row watches context capture and power-tree
+    propagation, the host cost of every exact cycle (and of the macro
+    engine's fallbacks).
     """
     from repro.core.odrips import ODRIPSController
     from repro.core.techniques import TechniqueSet

@@ -12,7 +12,8 @@ statically, over the whole program:
 1. **Local detection** — every function's own statements are scanned
    for effect witnesses: host-clock reads, unseeded/global RNG draws,
    environment and filesystem and network access, mutation of
-   module-level or closure-captured state, ``id()``/``hash()``/pid
+   module-level or closure-captured state (a ``functools.lru_cache``
+   or ``functools.cache`` memo counts), ``id()``/``hash()``/pid
    dependence, and set-iteration order escaping into results.
 2. **Propagation** — a fixpoint over the shared
    :class:`~repro.check.callgraph.CallGraph` unions callee effects into
@@ -142,6 +143,11 @@ _MUTATOR_METHODS = frozenset(
     }
 )
 
+#: Decorators that keep every result of the function they wrap in a
+#: cache that lives as long as the function: module state however pure
+#: the function is.
+_MEMO_DECORATORS = frozenset({"functools.lru_cache", "functools.cache"})
+
 #: Call consumers for which the iteration order of their argument cannot
 #: escape into the value (``sum`` is the exception: the *value* is order
 #: sensitive under float rounding, tracked as its own category).
@@ -210,6 +216,13 @@ def declared_effect_kinds(node: ast.AST) -> Tuple[str, ...]:
                 if arg.value in EFFECT_KINDS and arg.value not in kinds:
                     kinds.append(arg.value)
     return tuple(kinds)
+
+
+def _resolved(dotted: str, aliases: Dict[str, str]) -> str:
+    """``dotted`` with its first name replaced by what the module imported under it."""
+    root, _, rest = dotted.partition(".")
+    root = aliases.get(root, root)
+    return f"{root}.{rest}" if rest else root
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -302,6 +315,14 @@ class EffectAnalysis:
                 EffectWitness(kind, category, record.filename, line, detail),
             )
 
+        for decorator in record.node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            dotted = dotted_name(target)
+            if dotted is not None and _resolved(dotted, aliases) in _MEMO_DECORATORS:
+                witness(
+                    "module-state", "accumulate", decorator.lineno,
+                    f"@{dotted} memo holds module-level state",
+                )
         statements = list(own_statements(record.node))
         for node in statements:
             if isinstance(node, (ast.Global, ast.Nonlocal)):
@@ -313,11 +334,8 @@ class EffectAnalysis:
                 self._classify_assign(node, module_names, scoped_globals, witness)
             elif isinstance(node, ast.Subscript):
                 dotted = dotted_name(node.value)
-                if dotted is not None:
-                    root = aliases.get(dotted.split(".")[0], dotted.split(".")[0])
-                    full = ".".join([root, *dotted.split(".")[1:]])
-                    if full.startswith("os.environ"):
-                        witness("env", "read", node.lineno, "os.environ read")
+                if dotted is not None and _resolved(dotted, aliases).startswith("os.environ"):
+                    witness("env", "read", node.lineno, "os.environ read")
             elif isinstance(node, ast.For):
                 if _is_set_expr(node.iter):
                     witness(
@@ -340,8 +358,7 @@ class EffectAnalysis:
         line = node.lineno
         if dotted is not None:
             parts = dotted.split(".")
-            root = aliases.get(parts[0], parts[0])
-            full = ".".join([root, *parts[1:]])
+            full = _resolved(dotted, aliases)
             if full == "open":
                 witness("fs", "access", line, "open()")
             elif full in _IDENTITY_CALLS:

@@ -124,6 +124,9 @@ class PowerDomain:
         self._enabled = True
         self._listener: Optional[ChangeListener] = None
         self.transition_count = 0
+        # load_watts() memo; every mutation of the domain, its components
+        # or its gate goes through notify_change, the only place that drops it.
+        self._load_watts: Optional[float] = None
 
     def add(self, component: Component) -> Component:
         """Attach ``component`` and return it (builder convenience)."""
@@ -191,18 +194,19 @@ class PowerDomain:
 
     def load_watts(self) -> float:
         """Load presented to the rail, accounting for the gate state."""
-        nominal = self.nominal_load_watts() if self._enabled else 0.0
-        if self._gate is not None:
-            if not self._enabled:
-                # The gate leaks a fraction of what the load *would* draw.
-                return self._gate.delivered_power(self.nominal_load_watts())
-            return self._gate.delivered_power(nominal)
-        return nominal
+        if self._load_watts is None:
+            if self._gate is not None:
+                # On or off: an open gate leaks a fraction of what the load *would* draw.
+                self._load_watts = self._gate.delivered_power(self.nominal_load_watts())
+            else:
+                self._load_watts = self.nominal_load_watts() if self._enabled else 0.0
+        return self._load_watts
 
     def set_listener(self, listener: ChangeListener) -> None:
         self._listener = listener
 
     def notify_change(self) -> None:
+        self._load_watts = None
         if self._listener is not None:
             self._listener()
 

@@ -37,20 +37,27 @@ class EfficiencyCurve:
                 raise PowerError(f"efficiency must be in (0, 1]: {eff}")
             cleaned.append((load, eff))
         self._points = cleaned
+        #: The one efficiency of a flat curve, else None: interpolating
+        #: between equal points returns ``eff_lo + t * 0.0 == eff_lo``.
+        self._flat = cleaned[0][1] if len({eff for _, eff in cleaned}) == 1 else None
+        #: Per segment: its loads, their log10 and its efficiencies.
+        self._segments = [
+            (load_lo, load_hi, math.log10(load_lo), math.log10(load_hi), eff_lo, eff_hi)
+            for (load_lo, eff_lo), (load_hi, eff_hi) in zip(cleaned, cleaned[1:])
+        ]
 
     def efficiency(self, load_watts: float) -> float:
         """Efficiency at ``load_watts`` (clamped outside the defined range)."""
-        if load_watts <= 0:
-            return self._points[0][1]
+        if self._flat is not None:
+            return self._flat
         points = self._points
         if load_watts <= points[0][0]:
             return points[0][1]
         if load_watts >= points[-1][0]:
             return points[-1][1]
         x = math.log10(load_watts)
-        for (load_lo, eff_lo), (load_hi, eff_hi) in zip(points, points[1:]):
+        for load_lo, load_hi, x_lo, x_hi, eff_lo, eff_hi in self._segments:
             if load_lo <= load_watts <= load_hi:
-                x_lo, x_hi = math.log10(load_lo), math.log10(load_hi)
                 if x_hi == x_lo:
                     return eff_hi
                 t = (x - x_lo) / (x_hi - x_lo)

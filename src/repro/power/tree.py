@@ -37,6 +37,9 @@ class PowerTree:
         self._suspended = 0
         #: A change arrived while suspended: the last resume must record.
         self._dirty = False
+        # platform_power() memo; every change below reaches _on_change,
+        # suspended or not, which drops it first.
+        self._platform_watts: Optional[float] = None
 
     # --- construction ---------------------------------------------------------
 
@@ -119,13 +122,14 @@ class PowerTree:
             self.resume_updates()
 
     def _on_change(self) -> None:
+        self._platform_watts = None
         if self._suspended:
             self._dirty = True
             return
         self._dirty = False
         now = self.kernel.now
         rail_watts = [rail.input_power() for rail in self._rails]
-        total = sum(rail_watts)
+        total = self._platform_watts = sum(rail_watts)
         # The platform channel carries the battery-side total; the per-rail
         # channels are views of it (summing both would double-count energy)
         # that let the simulated power analyzer measure individual rails
@@ -143,7 +147,9 @@ class PowerTree:
 
     def platform_power(self) -> float:
         """Instantaneous battery-side platform power in watts."""
-        return sum(rail.input_power() for rail in self._rails)
+        if self._platform_watts is None:
+            self._platform_watts = sum(rail.input_power() for rail in self._rails)
+        return self._platform_watts
 
     def budget_description(self) -> Dict[str, object]:
         """Declared trace channels of the power tree, for the budget probe.

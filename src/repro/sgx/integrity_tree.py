@@ -63,7 +63,7 @@ class _Node(NamedTuple):
 
 def _label(level: int, index: int) -> bytes:
     """The first input of node ``index``'s MAC at ``level``."""
-    return f"node:{level}:{index}".encode("ascii")
+    return b"node:%d:%d" % (level, index)
 
 
 def _covered(level: int, raw: bytes, nodes: int) -> List[bytes]:
@@ -276,28 +276,42 @@ class IntegrityTree:
 
     def _node(self, level: int, index: int) -> _Node:
         """The walk record of node ``index`` at ``level``, built on first use."""
+        if 1 <= level <= len(self._nodes):
+            node = self._nodes[level - 1].get(index)
+            if node is not None:
+                return node
+        self.geometry.node_address(level, index)  # checks level and index
+        self._build_nodes(level, range(index, index + 1))
+        return self._nodes[level - 1][index]
+
+    def _build_nodes(self, level: int, indices: range) -> None:
+        """Build the walk records of ``indices`` at ``level``, all in range."""
+        geometry = self.geometry
         nodes = self._nodes[level - 1]
-        node = nodes.get(index)
-        if node is None:
-            geometry = self.geometry
-            address = geometry.node_address(level, index)  # checks level and index
+        offset = geometry.level_offset(level)
+        if level == 1:  # children: the leaf versions
+            below, below_offset = geometry.data_blocks, geometry.versions_offset
+            stride = COUNTER_BYTES
+        else:  # children: the records of the level below
+            below, below_offset = geometry.level_counts[level - 2], geometry.level_offset(level - 1)
+            stride = _RECORD_BYTES
+        for index in indices:
+            address = offset + index * _RECORD_BYTES
             first = index * ARITY
+            count = min(first + ARITY, below) - first
+            start = below_offset + first * stride
             if level == 1:
-                count = min(first + ARITY, geometry.data_blocks) - first
-                children = [(geometry.version_address(first), count * COUNTER_BYTES)]
+                children: Tuple[Tuple[int, int], ...] = ((start, count * COUNTER_BYTES),)
             else:
-                count = min(first + ARITY, geometry.level_counts[level - 2]) - first
-                base = geometry.node_address(level - 1, first)
-                children = [
-                    (base + child * _RECORD_BYTES, COUNTER_BYTES) for child in range(count)
-                ]
-            node = nodes[index] = _Node(
+                children = tuple(
+                    (start + child * _RECORD_BYTES, COUNTER_BYTES) for child in range(count)
+                )
+            nodes[index] = _Node(
                 address,
                 ((address, COUNTER_BYTES), *children, (address + COUNTER_BYTES, MAC_BYTES)),
                 _label(level, index),
                 bytes((ARITY - count) * COUNTER_BYTES),
             )
-        return node
 
     # --- counters -----------------------------------------------------------------
 
@@ -814,8 +828,7 @@ class IntegrityTree:
             self._read(*self._children_extent(level, 0, count - 1))
             self._write(geometry.level_offset(level), records)
             if len(self._nodes[level - 1]) < count:
-                for index in range(count):
-                    self._node(level, index)  # the level's walk records, side by side
+                self._build_nodes(level, range(count))  # the level's walk records, side by side
         self.root_counter = 0
         if self.cache is not None:
             self.cache.flush()

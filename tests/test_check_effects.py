@@ -131,6 +131,43 @@ def test_c506_module_container_mutation_fires():
     assert "C506" in rules_of(report)
 
 
+@pytest.mark.parametrize(
+    "imports, decorator",
+    [
+        ("import functools\n", "@functools.lru_cache(maxsize=4)"),
+        ("from functools import lru_cache\n", "@lru_cache"),
+        ("import functools as ft\n", "@ft.cache"),
+    ],
+)
+def test_c506_undeclared_decorator_memo_fires(imports, decorator):
+    report = analyze_one(
+        imports
+        + f"{decorator}\n"
+        "def image(label):\n"
+        "    return label * 2\n"
+        "@experiment_driver('fig')\n"
+        "def drv(label):\n"
+        "    return image(label)\n"
+    )
+    (diag,) = [d for d in report.diagnostics if d.rule == "C506"]
+    assert "memo holds module-level state" in diag.message
+    assert "via image" in diag.message
+
+
+def test_declared_decorator_memo_is_absorbed():
+    report = analyze_one(
+        "from functools import lru_cache\n"
+        "@declares_effects('module-state')\n"
+        "@lru_cache(maxsize=4)\n"
+        "def image(label):\n"
+        "    return label * 2\n"
+        "@experiment_driver('fig')\n"
+        "def drv(label):\n"
+        "    return image(label)\n"
+    )
+    assert rules_of(report) == set()
+
+
 def test_c507_identity_dependence_fires():
     report = analyze_one(
         "@experiment_driver('fig')\n"
@@ -183,6 +220,20 @@ def test_c513_worker_accumulating_into_a_module_container_fires():
         "    return value\n"
         "def run(values, pool):\n"
         "    return list(pool.map(worker, values))\n"
+    )
+    assert "C513" in rules_of(report)
+
+
+def test_c513_worker_reaching_a_decorator_memo_fires():
+    report = analyze_one(
+        "from functools import cache\n"
+        "@cache\n"
+        "def image(label):\n"
+        "    return label * 2\n"
+        "def worker(label):\n"
+        "    return image(label)\n"
+        "def run(labels):\n"
+        "    return sweep(labels, worker)\n"
     )
     assert "C513" in rules_of(report)
 

@@ -1,11 +1,46 @@
 """Tests for regulators and efficiency curves."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PowerError
 from repro.power.regulator import EfficiencyCurve, Regulator
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def interpolated(points, load_watts):
+    """The curve's efficiency as first written: no flat shortcut, log10 per call."""
+    points = sorted(points)
+    if load_watts <= 0:
+        return points[0][1]
+    if load_watts <= points[0][0]:
+        return points[0][1]
+    if load_watts >= points[-1][0]:
+        return points[-1][1]
+    x = math.log10(load_watts)
+    for (load_lo, eff_lo), (load_hi, eff_hi) in zip(points, points[1:]):
+        if load_lo <= load_watts <= load_hi:
+            x_lo, x_hi = math.log10(load_lo), math.log10(load_hi)
+            if x_hi == x_lo:
+                return eff_hi
+            t = (x - x_lo) / (x_hi - x_lo)
+            return eff_lo + t * (eff_hi - eff_lo)
+    return points[-1][1]
+
+
+_curve_loads = st.one_of(st.floats(1e-6, 100.0), st.sampled_from([1e-3, 0.01, 1.0]))
+_efficiencies = st.floats(0.05, 1.0)
+_flat_curves = st.builds(
+    lambda loads, eff: [(load, eff) for load in loads],
+    st.lists(_curve_loads, min_size=1, max_size=5),
+    _efficiencies,
+)
+_curves = st.one_of(
+    _flat_curves, st.lists(st.tuples(_curve_loads, _efficiencies), min_size=1, max_size=6)
+)
 
 
 class TestEfficiencyCurve:
@@ -42,6 +77,23 @@ class TestEfficiencyCurve:
             EfficiencyCurve([(bad, 0.9)])
         with pytest.raises(PowerError, match="positive and finite"):
             EfficiencyCurve([(0.01, 0.5), (bad, 0.9)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=_curves,
+        loads=st.lists(
+            st.one_of(st.floats(-1.0, 1000.0), st.just(0.0), st.just(math.nan)), max_size=8
+        ),
+        at_points=st.booleans(),
+    )
+    def test_efficiency_equals_the_interpolation(self, points, loads, at_points):
+        """Flat or not, the precomputed curve answers bit for bit what the
+        interpolation over its points does, at and between the points."""
+        curve = EfficiencyCurve(points)
+        if at_points:
+            loads = loads + [load for load, _eff in points]
+        for load in loads:
+            assert curve.efficiency(load) == interpolated(points, load)
 
     def test_unsorted_points_are_sorted(self):
         curve = EfficiencyCurve([(1.0, 0.9), (0.01, 0.5)])

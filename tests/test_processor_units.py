@@ -1,6 +1,8 @@
 """Tests for processor-side units: C-states, compute, LLC, SRAMs, boot."""
 
 import hashlib
+from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from repro.memory.controller import MemoryController
 from repro.memory.dram import DRAMDevice
 from repro.power.domain import PowerDomain
 from repro.processor.boot import BootSRAM
+from repro.processor import core
 from repro.processor.core import ComputeDomain, synthesize_context
 from repro.processor.cstates import CSTATE_EXIT_LATENCY_PS, CState
 from repro.processor.llc import LastLevelCache
@@ -143,6 +146,50 @@ class TestContextImage:
                     assert differing >= 0.9 * length
                 previous = image
             owner.verify_restored(previous)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(["cores", "system_agent", ""]), st.text(max_size=8)),
+                st.sampled_from([1, 63, 64, 1000, 64 * 1024]),
+                st.integers(min_value=0, max_value=10**6),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_memoized_bases_equal_fresh_hashes(self, calls):
+        """Hits, misses and evictions alike, every image is a rotation of a
+        fresh SHAKE-256 output, and the memo stays within its bound."""
+        with mock.patch.object(core, "_BASES", OrderedDict()):
+            for label, length, generation in calls:
+                fresh = hashlib.shake_256(label.encode("utf-8")).digest(length)
+                shift = generation % length
+                assert synthesize_context(label, length, generation) == (
+                    fresh[shift:] + fresh[:shift]
+                )
+                assert core._BASES[(label, length)] == fresh
+                assert list(core._BASES)[-1] == (label, length)  # most recent last
+                assert len(core._BASES) <= core._BASE_SLOTS
+
+    def test_one_label_at_two_lengths_is_two_entries(self):
+        """SHAKE outputs of one label share a prefix; the memo still keeps
+        each length as its own image."""
+        with mock.patch.object(core, "_BASES", OrderedDict()):
+            short = synthesize_context("cores", 64, 0)
+            long = synthesize_context("cores", 128, 0)
+            assert long[:64] == short and len(long) == 128
+            assert list(core._BASES) == [("cores", 64), ("cores", 128)]
+
+    def test_memo_evicts_the_least_recently_used(self):
+        with mock.patch.object(core, "_BASES", OrderedDict()):
+            keys = [(f"owner{i}", 32) for i in range(core._BASE_SLOTS)]
+            for label, length in keys:
+                synthesize_context(label, length, 1)
+            synthesize_context(*keys[0], 1)  # a hit makes the oldest the newest
+            synthesize_context("newcomer", 32, 1)
+            assert list(core._BASES) == [*keys[2:], keys[0], ("newcomer", 32)]
 
     def test_generation_wraps_at_length(self):
         assert synthesize_context("cores", 100, 3) == synthesize_context("cores", 100, 103)

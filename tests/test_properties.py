@@ -269,21 +269,33 @@ class TestPowerTreeConservation:
         assert sum(breakdown.values()) == pytest.approx(tree.platform_power())
 
 
+def uncached_domain_watts(domain):
+    """A domain's load recomputed from its components, without the domain memo."""
+    nominal = sum(component.power_watts for component in domain.components)
+    if domain.gate is not None:
+        return domain.gate.delivered_power(nominal)
+    return nominal if domain.enabled else 0.0
+
+
 def uncached_rail_watts(tree):
-    """Battery-side watts per rail, recomputed without the rail memo."""
-    return [rail.regulator.input_power(rail.load_watts()) for rail in tree.rails]
+    """Battery-side watts per rail, recomputed without the domain or rail memos."""
+    return [
+        rail.regulator.input_power(sum(uncached_domain_watts(d) for d in rail.domains))
+        for rail in tree.rails
+    ]
 
 
 def uncached_breakdown(tree):
-    """``attributed_breakdown`` with every rail re-evaluated from scratch."""
+    """``attributed_breakdown`` with every domain and rail re-evaluated from scratch."""
     from unittest import mock
 
-    from repro.power.domain import Rail
+    from repro.power.domain import PowerDomain, Rail
 
     def recompute(rail):
         return rail.regulator.input_power(rail.load_watts())
 
-    with mock.patch.object(Rail, "input_power", recompute):
+    with mock.patch.object(PowerDomain, "load_watts", uncached_domain_watts), \
+            mock.patch.object(Rail, "input_power", recompute):
         return tree.attributed_breakdown()
 
 
@@ -316,11 +328,12 @@ def make_gate(kind, name, closed=True):
 class PowerTreeOracle(RuleBasedStateMachine):
     """Generated power trees under generated mutation sequences.
 
-    After every step the tree's answers (``platform_power``,
-    ``attributed_breakdown``, and the trace records of the last
-    propagation) must equal an uncached recomputation from the leaves,
-    bit for bit.  A mutation that skips the rail notification leaves a
-    stale rail memo behind and fails here.
+    After every step the tree's answers (every domain's ``load_watts``,
+    ``platform_power``, ``attributed_breakdown``, and the trace records
+    of the last propagation) must equal an uncached recomputation from
+    the leaves, bit for bit, suspended or not.  A mutation that skips a
+    notification leaves a stale domain, rail or platform memo behind and
+    fails here.
     """
 
     @initialize(spec=_rail_specs)
@@ -411,12 +424,28 @@ class PowerTreeOracle(RuleBasedStateMachine):
         self.tree.resume_updates()
         self.depth = max(self.depth - 1, 0)
 
+    @rule(index=st.integers(0, 99), first=_watts, pinned=_watts)
+    def pin_total(self, index, first, pinned):
+        """``SkylakePlatform.set_total_power`` inside a batch: change a
+        component, read the platform total while suspended, then pin it."""
+        component = self._live(self.components, index)
+        if component is None:
+            return
+        with self.tree.batch():
+            component.set_power(first)
+            self.queries_match_recomputation()
+            base = self.tree.platform_power() - component.power_watts
+            component.set_power(max(0.0, pinned - base))
+            self.queries_match_recomputation()
+
     @rule(ps=st.integers(1, 10**12))
     def advance(self, ps):
         self.tree.kernel.advance_to(self.tree.kernel.now + ps)
 
     @invariant()
     def queries_match_recomputation(self):
+        for _rail, domain in self.domains:
+            assert domain.load_watts() == uncached_domain_watts(domain)
         rail_watts = uncached_rail_watts(self.tree)
         assert self.tree.platform_power() == sum(rail_watts)
         assert [rail.input_power() for rail in self.tree.rails] == rail_watts

@@ -9,6 +9,8 @@ from repro.sgx.crypto import MacKey, derive_key, pack_counter
 from repro.sgx.integrity_tree import (
     ARITY,
     BLOCK_SIZE,
+    COUNTER_BYTES,
+    MAC_BYTES,
     IntegrityTree,
     TreeGeometry,
     seal_initial_image,
@@ -86,6 +88,50 @@ class TestGeometry:
     def test_invalid_size_rejected(self):
         with pytest.raises(SecurityError):
             TreeGeometry.for_data_size(0, 0)
+
+
+def reference_record(geometry, level, index):
+    """One node's walk record from the geometry's checked address methods."""
+    address = geometry.node_address(level, index)
+    first = index * ARITY
+    if level == 1:
+        count = min(first + ARITY, geometry.data_blocks) - first
+        children = [(geometry.version_address(first), count * COUNTER_BYTES)]
+    else:
+        count = min(first + ARITY, geometry.level_counts[level - 2]) - first
+        children = [
+            (geometry.node_address(level - 1, first + child), COUNTER_BYTES)
+            for child in range(count)
+        ]
+    walk = ((address, COUNTER_BYTES), *children, (address + COUNTER_BYTES, MAC_BYTES))
+    return (address, walk, f"node:{level}:{index}".encode(), bytes((ARITY - count) * COUNTER_BYTES))
+
+
+class TestWalkRecords:
+    def test_prebuilt_records_equal_lazy_ones_on_a_padded_tree(self):
+        """Set-up builds each level's records in one loop; they equal the
+        records ``_node`` builds one at a time, and the geometry's own
+        arithmetic, on a tree whose last node is short at all 5 levels."""
+        _device, geometry, prebuilt = make_tree(data_size=4097 * BLOCK_SIZE, cached=False)
+        assert geometry.level_counts == (513, 65, 9, 2, 1)
+        lazy = IntegrityTree(geometry, None, prebuilt.mac_key)
+        for level, count in enumerate(geometry.level_counts, start=1):
+            assert sorted(prebuilt._nodes[level - 1]) == list(range(count))
+            for index in reversed(range(count)):
+                record = lazy._node(level, index)
+                assert record == prebuilt._nodes[level - 1][index]
+                assert tuple(record) == reference_record(geometry, level, index)
+        assert lazy._nodes == prebuilt._nodes
+
+    @pytest.mark.parametrize(
+        "level, index", [(1, 513), (1, -1), (2, 65), (5, 1), (0, 0), (6, 0), (-4, 0)]
+    )
+    def test_missing_records_are_range_checked(self, level, index):
+        """Out of the tree, a record is refused even where an index into the
+        per-level records would land on another level's."""
+        _device, _geometry, tree = make_tree(data_size=4097 * BLOCK_SIZE, cached=False)
+        with pytest.raises(SecurityError):
+            tree._node(level, index)
 
 
 class TestVerifyUpdate:

@@ -254,3 +254,24 @@ class TestHorizonHelper:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(MacroError):
             cycles_for_horizon(0.0, 30.0, 0.145)
+
+
+class TestRotatingContextPeriod:
+    def test_pcm_flow_latencies_repeat_every_allocator_slot_cycle(self):
+        """ODRIPS-PCM rotates its context through ``slots`` places, and its
+        flow latencies repeat with that period, not with one cycle: the
+        engine's one-cycle fingerprint never matches a PCM cycle (the
+        latencies do not grow)."""
+        controller = ODRIPSController(TechniqueSet.odrips_pcm())
+        slots = controller.build_platform().context_allocator.slots
+        assert slots == 4
+        result = controller.measure_raw(cycles=2 * slots + 1)
+        entry = result.entry_latencies_ps[1:]  # the first entry follows boot
+        for latencies in (entry, result.exit_latencies_ps):
+            assert len(latencies) >= 2 * slots
+            assert latencies[slots:] == latencies[:-slots]
+            for shorter in range(1, slots):
+                assert latencies[shorter:] != latencies[:-shorter]
+        assert result.exit_latencies_ps[:slots] == [421413731, 421419064, 421419065, 421419065]
+        steps = [later - earlier for earlier, later in zip(entry, entry[1:])]
+        assert steps[:slots] == [-5333, -1, 0, 5334]
