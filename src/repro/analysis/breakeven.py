@@ -74,7 +74,7 @@ def _cycle_energy(
     result = controller.measure_raw(
         cycles=cycles, idle_interval_s=idle_s, maintenance_s=maintenance_s, period_s=period
     )
-    return sum(result.residency.energy_j.values()) / cycles
+    return result.residency.total_energy_j() / cycles
 
 
 def find_break_even(

@@ -15,10 +15,12 @@ the correctly rounded mean of the grid samples — identical to summing
 the raw :meth:`PowerAnalyzer.sample_window` list with :func:`math.fsum`,
 and independent of summation order.
 
-The exact integral of the same trace is
-:func:`~repro.measure.residency.integrate_joules`; the analyzer exists so
-tests can show the sampled measurement converges to the exact one — the
-same validation argument the paper makes for its instrument choice.
+The unsampled integral of the same trace is
+:func:`~repro.measure.residency.integrate_joules` (free of sampling
+error, though a running float sum and not correctly rounded); the
+analyzer exists so tests can show the sampled measurement converges to
+it — the same validation argument the paper makes for its instrument
+choice.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Substitutes for the Intel Performance Counter Monitor the paper uses to
 measure "the percentage of time the processor spends in a given power
 state" (Sec. 7), and provides the per-state energy split behind
-Equation 1.
+Equation 1.  :class:`CyclePrice` is the one pricer of trace segments:
+every per-state, per-cause and per-cell energy is its exact sum, rounded
+once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.errors import MeasurementError
 from repro.sim.trace import TraceRecorder
@@ -40,7 +42,14 @@ def clipped_intervals(
 def integrate_joules(
     trace: TraceRecorder, channel: str, start_ps: int, end_ps: int
 ) -> float:
-    """Exact integral of a piecewise-constant power channel, in joules."""
+    """Integral of a piecewise-constant power channel, in joules.
+
+    A running float sum, so not correctly rounded and order-dependent in
+    its last bits.  It stays for the per-domain ledger, the macro ledger
+    audit and the analyzer's reference, which compare within tolerances
+    and whose recorded values rest on this rounding; energies that must
+    compose bit-for-bit go through :class:`CyclePrice`.
+    """
     total = 0.0
     for lo, hi, watts in clipped_intervals(trace, channel, start_ps, end_ps):
         total += watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
@@ -52,9 +61,9 @@ def merge_state_power(
 ) -> List[Tuple[int, int, str, float]]:
     """``(lo, hi, state, watts)`` segments merging state and power steps.
 
-    The common substrate of :func:`energy_by_state` and
-    :class:`CyclePrice` (the macro-stepping cycle compiler and the
-    budget probe price cycles with it): the window is
+    The common substrate of every per-state price (:func:`residency_report`,
+    the macro-stepping cycle compiler, the budget probe and the causal
+    rollups): the window is
     partitioned at every record of either channel, so each segment
     carries one platform state and one constant battery-side power.
     Segment boundaries depend only on the records inside the window —
@@ -88,72 +97,68 @@ def merge_state_power(
 
 @dataclass(frozen=True)
 class CyclePrice:
-    """Per-state dwell and exact energy of a run of merged segments.
+    """Per-key dwell and exact energy of a run of ``(lo, hi, key, watts)`` segments.
 
-    The priced form of Equation 1 — power x residency per platform
-    state — for one standby cycle or any window of one.  Each segment
-    contributes the float product ``watts * ((hi - lo) / 1e12)``, the
-    very value :func:`energy_by_state` feeds :func:`math.fsum`, and the
-    products are summed exactly, so rounding one state's energy once
-    reproduces ``energy_by_state`` bit-for-bit however prices are added
-    and scaled.
+    The priced form of Equation 1 — power x residency — for one standby
+    cycle or any window of one.  The key may be any hashable label: a
+    platform state (the segments of :func:`merge_state_power`), a wake
+    cause, or a ``(rail, state, cause)`` attribution cell.  Each segment
+    contributes the float product ``watts * ((hi - lo) / 1e12)`` and the
+    products are summed exactly, so rounding one key's energy once gives
+    the correctly rounded (:func:`math.fsum`) sum of its products,
+    bit-for-bit, however prices are added and scaled.
     """
 
-    dwell_ps: Dict[str, int] = field(default_factory=dict)
-    energy_j: Dict[str, Fraction] = field(default_factory=dict)
+    dwell_ps: Dict[Hashable, int] = field(default_factory=dict)
+    energy_j: Dict[Hashable, Fraction] = field(default_factory=dict)
 
     @classmethod
-    def of(cls, segments: Iterable[Tuple[int, int, str, float]]) -> "CyclePrice":
-        """Price ``(lo, hi, state, watts)`` segments (see :func:`merge_state_power`)."""
-        dwell: Dict[str, int] = {}
-        energy: Dict[str, Fraction] = {}
-        for lo, hi, state, watts in segments:
-            dwell[state] = dwell.get(state, 0) + (hi - lo)
-            energy[state] = energy.get(state, Fraction()) + Fraction(
-                watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
-            )
-        return cls(dwell, energy)
+    def of(cls, segments: Iterable[Tuple[int, int, Hashable, float]]) -> "CyclePrice":
+        """Price ``(lo, hi, key, watts)`` segments, keys in first-seen order.
+
+        A finite float is an integer over a power of two, so each key's
+        products accumulate exactly as one integer numerator over the
+        finest power-of-two denominator seen so far, and one
+        :class:`~fractions.Fraction` per key is built at the end.
+        """
+        dwell: Dict[Hashable, int] = {}
+        sums: Dict[Hashable, List[int]] = {}  # key -> [numerator, log2 denominator]
+        for lo, hi, key, watts in segments:
+            n, d = (watts * ((hi - lo) / PICOSECONDS_PER_SECOND)).as_integer_ratio()
+            shift = d.bit_length() - 1
+            acc = sums.get(key)
+            if acc is None:
+                sums[key] = acc = [0, shift]
+            elif shift > acc[1]:
+                acc[:] = acc[0] << (shift - acc[1]), shift
+            acc[0] += n << (acc[1] - shift)
+            dwell[key] = dwell.get(key, 0) + (hi - lo)
+        return cls(dwell, {key: Fraction(n, 1 << shift) for key, (n, shift) in sums.items()})
 
     def __add__(self, other: "CyclePrice") -> "CyclePrice":
         dwell = dict(self.dwell_ps)
         energy = dict(self.energy_j)
-        for state, dwell_ps in other.dwell_ps.items():
-            dwell[state] = dwell.get(state, 0) + dwell_ps
-            energy[state] = energy.get(state, Fraction()) + other.energy_j[state]
+        for key, dwell_ps in other.dwell_ps.items():
+            dwell[key] = dwell.get(key, 0) + dwell_ps
+            energy[key] = energy.get(key, Fraction()) + other.energy_j[key]
         return CyclePrice(dwell, energy)
 
     def __mul__(self, cycles: int) -> "CyclePrice":
         return CyclePrice(
-            {state: cycles * dwell_ps for state, dwell_ps in self.dwell_ps.items()},
-            {state: cycles * joules for state, joules in self.energy_j.items()},
+            {key: cycles * dwell_ps for key, dwell_ps in self.dwell_ps.items()},
+            {key: cycles * joules for key, joules in self.energy_j.items()},
         )
 
-    def power_w(self, state: str) -> Fraction:
-        """Exact mean watts while in ``state`` (0 when never entered)."""
-        dwell_ps = self.dwell_ps.get(state, 0)
+    def power_w(self, key: Hashable) -> Fraction:
+        """Exact mean watts while in ``key`` (0 when never entered)."""
+        dwell_ps = self.dwell_ps.get(key, 0)
         if dwell_ps == 0:
             return Fraction(0)
-        return self.energy_j[state] / Fraction(dwell_ps, PICOSECONDS_PER_SECOND)
+        return self.energy_j[key] / Fraction(dwell_ps, PICOSECONDS_PER_SECOND)
 
-
-def energy_by_state(
-    trace: TraceRecorder, start_ps: int, end_ps: int
-) -> Dict[str, float]:
-    """Joules consumed in each platform state within the window.
-
-    Merges the piecewise-constant ``platform`` power channel with the
-    ``state`` channel.  Each per-state total is the correctly-rounded sum
-    (:func:`math.fsum`) of its segment energies, so the result depends
-    only on the *multiset* of segments — not their order — which is what
-    lets the macro-stepping executor reproduce it analytically,
-    bit-for-bit, without walking every cycle.
-    """
-    products: Dict[str, List[float]] = {}
-    for lo, hi, state, watts in merge_state_power(trace, start_ps, end_ps):
-        products.setdefault(state, []).append(
-            watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
-        )
-    return {state: math.fsum(values) for state, values in products.items()}
+    def rounded_j(self) -> Dict[Hashable, float]:
+        """Each key's energy rounded once to the nearest float."""
+        return {key: float(joules) for key, joules in self.energy_j.items()}
 
 
 @dataclass
@@ -179,14 +184,14 @@ class ResidencyReport:
             return 0.0
         return self.energy_j.get(state, 0.0) / (dwell / PICOSECONDS_PER_SECOND)
 
-    def total_average_power(self) -> float:
-        """Average watts over the whole window (Equation 1's left side).
+    def total_energy_j(self) -> float:
+        """Joules over the window, correctly rounded over the states, so
+        independent of their order (exact and macro runs differ in it)."""
+        return math.fsum(self.energy_j.values())
 
-        Correctly rounded over the per-state energies, so the total is
-        independent of state insertion order (exact and macro-stepped
-        runs build the dict along different walks).
-        """
-        return math.fsum(self.energy_j.values()) / self.window_s
+    def total_average_power(self) -> float:
+        """Average watts over the whole window (Equation 1's left side)."""
+        return self.total_energy_j() / self.window_s
 
     def equation1_terms(self) -> Dict[str, float]:
         """Per-state ``power x residency`` terms of Equation 1, in watts."""
@@ -197,11 +202,61 @@ class ResidencyReport:
 
 
 def residency_report(
-    trace: TraceRecorder, start_ps: int, end_ps: int
+    trace: TraceRecorder,
+    start_ps: int,
+    end_ps: int,
+    spans: Sequence[Any] = (),
 ) -> ResidencyReport:
-    """Build a :class:`ResidencyReport` for the window."""
-    report = ResidencyReport(window_ps=end_ps - start_ps)
-    for lo, hi, state in clipped_intervals(trace, STATE_CHANNEL, start_ps, end_ps):
-        report.dwell_ps[state] = report.dwell_ps.get(state, 0) + (hi - lo)
-    report.energy_j = energy_by_state(trace, start_ps, end_ps)
-    return report
+    """A :class:`ResidencyReport` for the window: one :class:`CyclePrice`.
+
+    ``spans`` are the executed macro-steps (:class:`~repro.sim.macro.MacroSpan`),
+    across which the trace holds only summary records.  The trace prices
+    the exactly simulated regions; whole skipped cycles contribute
+    ``N x`` the compiled cycle's price, and a window edge inside a span
+    clips the compiled segments where the event-by-event walk would clip
+    its intervals.  Energies stay exact until one rounding per state, so
+    a macro-stepped window equals the event-by-event one bit-for-bit.
+    """
+    if end_ps <= start_ps:
+        raise MeasurementError("empty measurement window")
+
+    def clipped(compiled: Any, lo_off: int, hi_off: int) -> CyclePrice:
+        return CyclePrice.of(
+            (max(lo, lo_off), min(hi, hi_off), state, watts)
+            for lo, hi, state, watts in compiled.segments
+            if hi > lo_off and lo < hi_off
+        )
+
+    parts: List[CyclePrice] = []
+    cursor = start_ps
+    for span in sorted(spans, key=lambda s: s.start_ps):
+        lo = max(span.start_ps, start_ps)
+        hi = min(span.end_ps, end_ps)
+        if hi <= lo:
+            continue
+        if lo > cursor:
+            parts.append(CyclePrice.of(merge_state_power(trace, cursor, lo)))
+        compiled = span.compiled
+        period = compiled.duration_ps
+        first_cycle, head_off = divmod(lo - span.start_ps, period)
+        last_cycle, tail_off = divmod(hi - span.start_ps, period)
+        if first_cycle == last_cycle:
+            parts.append(clipped(compiled, head_off, tail_off))
+        else:
+            if head_off:
+                parts.append(clipped(compiled, head_off, period))
+            full = last_cycle - first_cycle - (1 if head_off else 0)
+            if full:
+                parts.append(compiled.price * full)
+            if tail_off:
+                parts.append(clipped(compiled, 0, tail_off))
+        cursor = hi
+    if cursor < end_ps:
+        parts.append(CyclePrice.of(merge_state_power(trace, cursor, end_ps)))
+    price = sum(parts[1:], parts[0])
+    return ResidencyReport(end_ps - start_ps, price.dwell_ps, price.rounded_j())
+
+
+#: The name the standby runner calls for a window with macro spans, so
+#: that wrapping either name shows which kind of window was priced.
+macro_residency_report = residency_report

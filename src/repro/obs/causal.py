@@ -33,10 +33,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import MeasurementError
-from repro.measure.residency import clipped_intervals
+from repro.measure.residency import CyclePrice, clipped_intervals, merge_state_power
 from repro.obs.ledger import RAIL_CHANNEL_PREFIX
 from repro.obs.tracer import (
     EDGE_COMPILED,
@@ -48,7 +48,6 @@ from repro.obs.tracer import (
     Span,
     Tracer,
 )
-from repro.units import PICOSECONDS_PER_SECOND
 
 #: Root-cause labels of the non-wake rollup buckets.
 CAUSE_MAINTENANCE = "maintenance-burst"
@@ -220,8 +219,6 @@ def _causal_segments(
     take the compiled wake cause; their per-state split is refined by
     :func:`_macro_rollups` from the summary-span attribution args.
     """
-    from repro.measure.residency import merge_state_power
-
     wake_times = [event.time_ps for event in platform.wake_log]
     wake_causes = [wake_cause(event.event_type.value) for event in platform.wake_log]
     segments: List[Tuple[int, int, str, str, float]] = []
@@ -354,17 +351,18 @@ def build_cause_rollups(
 ) -> Dict[str, CauseRollup]:
     """Attribute every joule and picosecond of the window to a cause."""
     rollups: Dict[str, CauseRollup] = {}
-    energies: Dict[str, List[float]] = {}
-    for lo, hi, state, cause, watts in _causal_segments(platform, start_ps, end_ps):
-        if state == _MACRO_STATE and _macro_rollups(tracer, rollups, lo, hi):
-            continue
-        bucket = rollups.setdefault(cause, CauseRollup(cause))
-        bucket.dwell_ps += hi - lo
-        energies.setdefault(cause, []).append(
-            watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
-        )
-    for cause, products in energies.items():
-        rollups[cause].energy_j += math.fsum(products)
+
+    def exact_segments() -> Iterator[Tuple[int, int, str, float]]:
+        for lo, hi, state, cause, watts in _causal_segments(platform, start_ps, end_ps):
+            if state == _MACRO_STATE and _macro_rollups(tracer, rollups, lo, hi):
+                continue
+            rollups.setdefault(cause, CauseRollup(cause))
+            yield lo, hi, cause, watts
+
+    price = CyclePrice.of(exact_segments())
+    for cause, joules in price.rounded_j().items():
+        rollups[cause].dwell_ps += price.dwell_ps[cause]
+        rollups[cause].energy_j += joules
     for event in platform.wake_log:
         if start_ps <= event.time_ps < end_ps:
             cause = wake_cause(event.event_type.value)
@@ -452,21 +450,20 @@ def attribution_cells(
         for name in trace.channels()
         if name.startswith(RAIL_CHANNEL_PREFIX)
     )
-    products: Dict[Tuple[str, str, str], List[float]] = {}
-    for rail in rails:
-        channel = RAIL_CHANNEL_PREFIX + rail
-        intervals = clipped_intervals(trace, channel, start_ps, end_ps)
-        index = 0
-        for lo, hi, state, cause, _watts in segments:
-            while index < len(intervals) and intervals[index][1] <= lo:
-                index += 1
-            scan = index
-            while scan < len(intervals) and intervals[scan][0] < hi:
-                i_lo, i_hi, watts = intervals[scan]
-                overlap = min(i_hi, hi) - max(i_lo, lo)
-                if overlap > 0:
-                    products.setdefault((rail, state, cause), []).append(
-                        watts * (overlap / PICOSECONDS_PER_SECOND)
-                    )
-                scan += 1
-    return {cell: math.fsum(values) for cell, values in products.items()}
+
+    def overlaps() -> Iterator[Tuple[int, int, Tuple[str, str, str], float]]:
+        for rail in rails:
+            intervals = clipped_intervals(trace, RAIL_CHANNEL_PREFIX + rail, start_ps, end_ps)
+            index = 0
+            for lo, hi, state, cause, _watts in segments:
+                while index < len(intervals) and intervals[index][1] <= lo:
+                    index += 1
+                scan = index
+                while scan < len(intervals) and intervals[scan][0] < hi:
+                    i_lo, i_hi, watts = intervals[scan]
+                    cell_lo, cell_hi = max(i_lo, lo), min(i_hi, hi)
+                    if cell_hi > cell_lo:
+                        yield cell_lo, cell_hi, (rail, state, cause), watts
+                    scan += 1
+
+    return CyclePrice.of(overlaps()).rounded_j()

@@ -10,8 +10,10 @@ The power model is a tree::
 
 Leaf components report power-level changes; the tree re-evaluates input
 (battery-side) power and records it on the trace.  The trace is the one
-energy record: measurements integrate its piecewise-constant power
-channels exactly (:func:`repro.measure.residency.integrate_joules`).
+energy record: measurements price its piecewise-constant power
+channels without sampling error
+(:class:`repro.measure.residency.CyclePrice`,
+:func:`repro.measure.residency.integrate_joules`).
 
 This mirrors the paper's methodology: Fig. 1(b) is a component breakdown of
 platform DRIPS power *including* the power-delivery "tax" (Sec. 8, footnote:

@@ -37,14 +37,13 @@ This module exploits that steady state in three stages:
   the :data:`MACRO_STATE` marker across the span.
 
 The measured results stay **bit-for-bit identical** to an event-by-event
-run for pure-periodic workloads: :func:`macro_residency_report` composes
-the per-state energies from the exactly-simulated regions plus
-N-weighted compiled cycle prices
-(:class:`~repro.measure.residency.CyclePrice`, exact rationals), while
-the event-by-event path sums the same segment multiset with
-:func:`math.fsum` — both are correctly rounded, so they agree to the
-last bit.  Dwell times are integer
-picoseconds and compose exactly.
+run for pure-periodic workloads:
+:func:`~repro.measure.residency.residency_report` composes the per-state
+energies from the exactly-simulated regions plus N-weighted compiled
+cycle prices (:class:`~repro.measure.residency.CyclePrice`, exact
+rationals), while the event-by-event window prices the same segment
+multiset in one walk — both round the exact sum once, so they agree to
+the last bit.  Dwell times are integer picoseconds and compose exactly.
 
 Irregular points fall back to event-by-event execution: with external
 wakes enabled the engine consumes one inter-wake RNG draw per skipped
@@ -61,14 +60,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import MacroError, MeasurementError
+from repro.errors import MacroError
 from repro.io.wake import WakeEvent, WakeEventType
-from repro.measure.residency import (
-    CyclePrice,
-    ResidencyReport,
-    integrate_joules,
-    merge_state_power,
-)
+from repro.measure.residency import CyclePrice, integrate_joules, merge_state_power
 from repro.sim.trace import TraceBlock, TraceRecorder
 from repro.system.states import POWER_CHANNEL, STATE_CHANNEL, WAKE_CHANNEL
 from repro.units import PICOSECONDS_PER_SECOND
@@ -79,9 +73,9 @@ _RAIL_PREFIX = "rail:"
 
 #: Value the ``state`` trace channel carries across a compiled span.  A
 #: naive residency walk over a macro trace reports this pseudo-state for
-#: the skipped cycles instead of silently misattributing them; the
-#: macro-aware :func:`macro_residency_report` replaces it with the exact
-#: per-state split.
+#: the skipped cycles instead of silently misattributing them; given the
+#: spans, :func:`~repro.measure.residency.residency_report` replaces it
+#: with the exact per-state split.
 MACRO_STATE = "macro:compiled"
 
 #: Rails whose ``rail:<name>`` channels a compiled cycle accounts for —
@@ -154,7 +148,7 @@ class CompiledCycle:
     rail_energy_j: Dict[str, float]
     #: Merged state-power segments of one cycle, offsets relative to the
     #: cycle start: ``(lo_off, hi_off, state, watts)`` — the residency
-    #: vector :func:`macro_residency_report` replays.
+    #: vector :func:`~repro.measure.residency.residency_report` replays.
     segments: Tuple[Tuple[int, int, str, float], ...]
     #: Per-state dwell and exact energy of one cycle, priced from
     #: :attr:`segments`.
@@ -196,67 +190,6 @@ def cycles_for_horizon(
     return max(1, round(horizon_days * 86400.0 / period_s))
 
 
-def macro_residency_report(
-    trace: TraceRecorder,
-    start_ps: int,
-    end_ps: int,
-    spans: List[MacroSpan],
-) -> ResidencyReport:
-    """A :class:`ResidencyReport` over a window containing macro spans.
-
-    Prices the exactly-simulated regions of the trace and composes the
-    compiled spans analytically: whole skipped cycles contribute
-    ``N x`` the compiled :class:`CyclePrice`, and a window edge that
-    lands inside a span clips the compiled segment list at the same
-    offsets the event-by-event walk would clip its intervals.  Per-state
-    energies stay exact rationals and round once at the end, so they
-    equal the event-by-event :func:`math.fsum` result bit-for-bit.
-    """
-    if end_ps <= start_ps:
-        raise MeasurementError("empty measurement window")
-
-    def partial(compiled: CompiledCycle, lo_off: int, hi_off: int) -> CyclePrice:
-        clipped = (
-            (max(lo, lo_off), min(hi, hi_off), state, watts)
-            for lo, hi, state, watts in compiled.segments
-        )
-        return CyclePrice.of(seg for seg in clipped if seg[1] > seg[0])
-
-    price = CyclePrice()
-    cursor = start_ps
-    for span in sorted(spans, key=lambda s: s.start_ps):
-        lo = max(span.start_ps, start_ps)
-        hi = min(span.end_ps, end_ps)
-        if hi <= lo:
-            continue
-        if lo > cursor:
-            price += CyclePrice.of(merge_state_power(trace, cursor, lo))
-        compiled = span.compiled
-        period = compiled.duration_ps
-        first_cycle, head_off = divmod(lo - span.start_ps, period)
-        last_cycle, tail_off = divmod(hi - span.start_ps, period)
-        if first_cycle == last_cycle:
-            price += partial(compiled, head_off, tail_off)
-        else:
-            if head_off:
-                price += partial(compiled, head_off, period)
-            full = last_cycle - first_cycle - (1 if head_off else 0)
-            if full:
-                price += compiled.price * full
-            if tail_off:
-                price += partial(compiled, 0, tail_off)
-        cursor = hi
-    if cursor < end_ps:
-        price += CyclePrice.of(merge_state_power(trace, cursor, end_ps))
-    if not price.dwell_ps:
-        raise MeasurementError("trace has no samples inside the window")
-    return ResidencyReport(
-        window_ps=end_ps - start_ps,
-        dwell_ps=price.dwell_ps,
-        energy_j={state: float(joules) for state, joules in price.energy_j.items()},
-    )
-
-
 class MacroEngine:
     """Steady-state detector + cycle compiler + macro-stepping executor.
 
@@ -269,7 +202,7 @@ class MacroEngine:
         self.platform = platform
         self.stats = MacroStats()
         #: Executed macro-steps, in time order — the spans
-        #: :func:`macro_residency_report` replays analytically.
+        #: :func:`~repro.measure.residency.residency_report` replays analytically.
         self.spans: List[MacroSpan] = []
         self._prev_boundary: Optional[_Boundary] = None
         self._prev_fingerprint: Optional[Tuple] = None
@@ -544,10 +477,7 @@ class MacroEngine:
                     "wake_type": compiled.wake_type.value,
                     "wake_detail": compiled.wake_detail,
                     "cycle_state_dwell_ps": dict(compiled.price.dwell_ps),
-                    "cycle_state_energy_j": {
-                        state: float(joules)
-                        for state, joules in compiled.price.energy_j.items()
-                    },
+                    "cycle_state_energy_j": compiled.price.rounded_j(),
                     "cycle_rail_energy_j": dict(compiled.rail_energy_j),
                 },
             )

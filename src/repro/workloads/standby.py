@@ -12,6 +12,7 @@ residency — the race-to-sleep lever of Fig. 6(b).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -19,9 +20,9 @@ from typing import Dict, List, Optional
 from repro.config import StandbyWorkloadConfig
 from repro.errors import WorkloadError
 from repro.io.wake import WakeEventType
-from repro.measure.residency import ResidencyReport, residency_report
+from repro.measure.residency import ResidencyReport, macro_residency_report, residency_report
 from repro.obs.tracer import MEASURE_TRACK
-from repro.sim.macro import MacroEngine, macro_residency_report
+from repro.sim.macro import MacroEngine
 from repro.system.flows import FlowController
 from repro.system.skylake import SkylakePlatform
 from repro.system.states import PlatformState
@@ -98,10 +99,15 @@ class ConnectedStandbyRunner:
             idle_interval_s if idle_interval_s is not None else self.workload.idle_interval_s
         )
         self.period_s = period_s
-        if self.idle_interval_s <= 0:
-            raise WorkloadError("idle interval must be positive")
-        if period_s is not None and period_s <= 0:
-            raise WorkloadError("period must be positive")
+        # chained comparisons are False for NaN, so these refuse it too
+        if not 0 < self.idle_interval_s < math.inf:
+            raise WorkloadError(
+                f"idle interval must be finite and positive: {self.idle_interval_s}"
+            )
+        if period_s is not None and not 0 < period_s < math.inf:
+            raise WorkloadError(f"period must be finite and positive: {period_s}")
+        if maintenance_s is not None and not 0 <= maintenance_s < math.inf:
+            raise WorkloadError(f"maintenance must be finite and non-negative: {maintenance_s}")
         self._fixed_maintenance_s = maintenance_s
         self.randomize_maintenance = randomize_maintenance
         self.external_wakes = external_wakes
@@ -260,8 +266,8 @@ class ConnectedStandbyRunner:
             obs.end(window, window_end)
         engine = self._macro_engine
         if engine is not None and engine.spans:
-            # compiled spans carry summary trace records only; compose the
-            # exact per-state split analytically (bit-for-bit vs exact runs)
+            # compiled spans carry summary trace records only; the report
+            # prices them analytically (bit-for-bit vs exact runs)
             report = macro_residency_report(
                 p.trace, window_start, window_end, engine.spans
             )

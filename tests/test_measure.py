@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MeasurementError
 from repro.measure.analyzer import PowerAnalyzer
-from repro.measure.residency import energy_by_state, residency_report
+from repro.measure.residency import residency_report
 from repro.sim.trace import TraceRecorder
 from repro.units import MS, SECOND, us_to_ps
 
@@ -46,9 +46,15 @@ class TestResidencyReport:
 
     def test_energy_by_state_window_clipping(self):
         trace = standby_like_trace()
-        energies = energy_by_state(trace, 101 * MS, 601 * MS)
-        assert set(energies) == {"drips"}
-        assert energies["drips"] == pytest.approx(0.060 * 0.5)
+        report = residency_report(trace, 101 * MS, 601 * MS)
+        assert set(report.energy_j) == {"drips"}
+        assert report.dwell_ps == {"drips": 500 * MS}
+        assert report.energy_j["drips"] == pytest.approx(0.060 * 0.5)
+        # a window edge inside a state clips both dwell and energy
+        report = residency_report(trace, 100 * MS + MS // 2, 601 * MS + MS // 4)
+        assert report.dwell_ps == {"entry": MS // 2, "drips": 500 * MS, "exit": MS // 4}
+        assert report.energy_j["entry"] == pytest.approx(0.9 * 0.0005)
+        assert report.energy_j["exit"] == pytest.approx(1.2 * 0.00025)
 
     def test_empty_window_rejected(self):
         trace = standby_like_trace()

@@ -18,9 +18,13 @@ import pytest
 
 from repro import obs
 from repro.core.odrips import ODRIPSController
+from repro.measure.residency import clipped_intervals
 from repro.obs.causal import (
+    _MACRO_STATE,
     CAUSE_IDLE,
     CAUSE_MAINTENANCE,
+    _causal_segments,
+    _macro_rollups,
     attribution_cells,
     build_causal_report,
     flow_critical_paths,
@@ -55,6 +59,20 @@ def macro_session():
     assert measurement.macro is not None
     assert measurement.macro["cycles_compiled"] > 0
     return tracer, tracer.platforms[-1], measurement
+
+
+def _observed(request, fixture):
+    """``(tracer, platform)`` of the ``session`` or ``macro_session`` fixture."""
+    observed = request.getfixturevalue(fixture)
+    if fixture == "session":
+        return observed.tracer, observed.platform
+    tracer, platform, _measurement = observed
+    return tracer, platform
+
+
+def _product(watts, lo, hi):
+    """The reference energy of one segment: watts times its seconds."""
+    return watts * ((hi - lo) / 1e12)
 
 
 class TestCausalEdges:
@@ -139,6 +157,50 @@ class TestCauseRollups:
                 rollup.energy_j, rel=1e-6
             )
             assert compiled.rollups[cause].events == rollup.events
+
+
+class TestPricedFromCausalSegments:
+    """Rollups and cells are per-key correctly rounded sums of the same
+    segment products, bit-for-bit, on exact and macro-stepped windows."""
+
+    @pytest.mark.parametrize("fixture", ["session", "macro_session"])
+    def test_rollup_energies_are_per_cause_fsums(self, request, fixture):
+        tracer, platform = _observed(request, fixture)
+        start_ps, end_ps = tracer.window_ps
+        macro_part = {}
+        products = {}
+        for lo, hi, state, cause, watts in _causal_segments(platform, start_ps, end_ps):
+            if state == _MACRO_STATE and _macro_rollups(tracer, macro_part, lo, hi):
+                continue
+            products.setdefault(cause, []).append(_product(watts, lo, hi))
+        assert products and (fixture == "session") == (not macro_part)
+        rollups = build_causal_report(tracer, platform).rollups
+        assert set(rollups) >= set(products) | set(macro_part)
+        for cause, rollup in rollups.items():
+            macro_j = macro_part[cause].energy_j if cause in macro_part else 0.0
+            assert rollup.energy_j == macro_j + math.fsum(products.get(cause, []))
+
+    @pytest.mark.parametrize("fixture", ["session", "macro_session"])
+    def test_cell_energies_are_per_cell_fsums(self, request, fixture):
+        tracer, platform = _observed(request, fixture)
+        start_ps, end_ps = tracer.window_ps
+        segments = _causal_segments(platform, start_ps, end_ps)
+        products = {}
+        for channel in platform.trace.channels():
+            if not channel.startswith("rail:"):
+                continue
+            rail = channel[len("rail:"):]
+            for i_lo, i_hi, watts in clipped_intervals(
+                platform.trace, channel, start_ps, end_ps
+            ):
+                for lo, hi, state, cause, _watts in segments:
+                    lo, hi = max(lo, i_lo), min(hi, i_hi)
+                    if hi > lo:
+                        products.setdefault((rail, state, cause), []).append(
+                            _product(watts, lo, hi)
+                        )
+        expected = {cell: math.fsum(values) for cell, values in products.items()}
+        assert attribution_cells(tracer, platform) == expected
 
 
 class TestCriticalPaths:

@@ -1,5 +1,7 @@
 """Cross-cutting property-based tests on core invariants."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -496,11 +498,10 @@ class TestCyclePriceProperties:
 
         from repro.measure.residency import (
             CyclePrice,
-            energy_by_state,
+            clipped_intervals,
             merge_state_power,
             residency_report,
         )
-        from repro.sim.trace import TraceRecorder
 
         start_ps, end_ps = sorted(bounds)
         assume(end_ps > start_ps)
@@ -510,8 +511,63 @@ class TestCyclePriceProperties:
             for duration, value in steps:
                 trace.record(now, channel, value)
                 now += duration
-        price = CyclePrice.of(merge_state_power(trace, start_ps, end_ps))
-        rounded = {state: float(joules) for state, joules in price.energy_j.items()}
-        assert rounded == energy_by_state(trace, start_ps, end_ps)
-        assert price.dwell_ps == residency_report(trace, start_ps, end_ps).dwell_ps
+        segments = merge_state_power(trace, start_ps, end_ps)
+        price = CyclePrice.of(segments)
+        # references: a per-state fsum of the segment products, and the
+        # state channel's own dwell walk
+        products = {}
+        for lo, hi, state, watts in segments:
+            products.setdefault(state, []).append(
+                watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
+            )
+        energies = {state: math.fsum(values) for state, values in products.items()}
+        dwell = {}
+        for lo, hi, state in clipped_intervals(trace, "state", start_ps, end_ps):
+            dwell[state] = dwell.get(state, 0) + (hi - lo)
+        assert price.rounded_j() == energies
+        assert price.dwell_ps == dwell
+        report = residency_report(trace, start_ps, end_ps)
+        assert (report.dwell_ps, report.energy_j) == (dwell, energies)
         assert price * 3 == price + price + price
+
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10**13),
+                st.integers(min_value=0, max_value=10**13),
+                st.tuples(
+                    st.sampled_from(["board", "compute"]),
+                    st.sampled_from(["active", "drips"]),
+                    st.sampled_from(["wake:timer", "steady-idle"]),
+                ),
+                st.one_of(
+                    st.floats(0, 10.0),
+                    st.just(0.0),
+                    # subnormal watts: products underflow to zero or stay subnormal
+                    st.floats(0, 2.2250738585072014e-308),
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_of_sums_any_key_exactly(self, segments):
+        from fractions import Fraction
+
+        from repro.measure.residency import CyclePrice
+
+        segments = [(lo, lo + span, key, watts) for lo, span, key, watts in segments]
+        price = CyclePrice.of(segments)
+        keys = list(dict.fromkeys(key for _lo, _hi, key, _watts in segments))
+        assert list(price.dwell_ps) == list(price.energy_j) == keys
+        for key in keys:
+            products = [
+                watts * ((hi - lo) / PICOSECONDS_PER_SECOND)
+                for lo, hi, k, watts in segments
+                if k == key
+            ]
+            assert price.energy_j[key] == sum(map(Fraction, products))
+            assert price.rounded_j()[key] == math.fsum(products)
+            assert price.dwell_ps[key] == sum(
+                hi - lo for lo, hi, k, _watts in segments if k == key
+            )

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.config import StandbyWorkloadConfig
+from repro.core.odrips import ODRIPSController
 from repro.core.techniques import TechniqueSet
 from repro.errors import WorkloadError
+from repro.workloads import standby
 from repro.workloads.standby import ConnectedStandbyRunner
 
 from _platform import build_platform
@@ -59,6 +61,64 @@ class TestBasicRuns:
     def test_invalid_idle_rejected(self):
         with pytest.raises(WorkloadError):
             make_runner(idle_interval_s=0.0)
+
+
+#: Durations the runner must refuse at its boundary, each of which used
+#: to fail deep inside a conversion or a flow instead.
+BAD_DURATIONS = [
+    {"idle_interval_s": float("nan")},
+    {"idle_interval_s": float("inf")},
+    {"idle_interval_s": -1.0},
+    {"period_s": float("nan")},
+    {"period_s": float("inf")},
+    {"period_s": 0.0},
+    {"maintenance_s": -0.5},
+    {"maintenance_s": float("nan")},
+    {"maintenance_s": float("inf")},
+]
+
+
+class TestDurationBoundary:
+    @pytest.mark.parametrize("durations", BAD_DURATIONS, ids=repr)
+    def test_runner_rejects(self, durations):
+        with pytest.raises(WorkloadError):
+            make_runner(**durations)
+
+    @pytest.mark.parametrize("durations", BAD_DURATIONS, ids=repr)
+    def test_measure_rejects(self, durations):
+        with pytest.raises(WorkloadError):
+            ODRIPSController().measure(cycles=1, **durations)
+
+    def test_zero_maintenance_runs(self):
+        result = make_runner(idle_interval_s=0.5, maintenance_s=0.0).run(cycles=1)
+        assert result.average_power_w > 0
+
+
+class TestReportNames:
+    """The runner calls both report functions by their module-global
+    names, so rebinding a name captures the report the run returns (the
+    e2e benchmark's Equation-1 check and layer tracer rely on it)."""
+
+    @pytest.mark.parametrize(
+        "macro, called", [(False, "residency_report"), (True, "macro_residency_report")]
+    )
+    def test_rebinding_captures_the_returned_report(self, monkeypatch, macro, called):
+        captured = {}
+        for name in ("residency_report", "macro_residency_report"):
+
+            def capture(*args, _name=name, _original=getattr(standby, name), **kwargs):
+                report = _original(*args, **kwargs)
+                captured.setdefault(_name, []).append(report)
+                return report
+
+            monkeypatch.setattr(standby, name, capture)
+        runner = make_runner(idle_interval_s=0.5, maintenance_s=0.02, macro=macro)
+        result = runner.run(cycles=8)
+        assert list(captured) == [called]
+        assert len(captured[called]) == 1
+        assert captured[called][0] is result.residency
+        if macro:
+            assert result.macro["cycles_compiled"] > 0
 
 
 class TestScheduling:
