@@ -605,6 +605,112 @@ def test_mee_bulk_context_200kb(benchmark, emit):
     )
 
 
+#: Cold save/restore cycles whose cache traffic the repeat row counts.
+MEE_BULK_REPEAT_CYCLES = 8
+#: Interleaved (schedule built, schedule replayed) cycle pairs timed.
+MEE_BULK_REPEAT_PAIRS = 15
+#: A cold 200 KB save/restore cycle that finds its cache-replay schedule
+#: memoized must beat one that builds it by at least this factor (regress
+#: floor too).
+MIN_MEE_BULK_REPEAT_SPEEDUP = 1.2
+
+
+def test_mee_bulk_repeat(benchmark, emit, monkeypatch):
+    """Repeated cold 200 KB context save/restore cycles through the bulk MEE path.
+
+    Each cycle is what CTX-SGX-DRAM does every standby cycle: an MEE
+    power cycle (which flushes the metadata cache), a bulk save, another
+    power cycle, a bulk restore of the same range.  The paper's 200 KB
+    context geometry and 64x8 cache, as in ``mee_bulk_context_200kb``.
+    The row records exact counts over ``MEE_BULK_REPEAT_CYCLES`` cycles
+    from an empty schedule memo (schedules built; cache hits, misses and
+    evictions) and the median, over interleaved pairs, of a cycle that
+    builds the range's schedule against one that finds it memoized:
+    both sides run in this process, so the ratio holds on any host.
+    """
+    import random
+
+    from repro.memory.dram import DRAMDevice
+    from repro.sgx import cache as cache_module
+    from repro.sgx.cache import MEECache
+    from repro.sgx.integrity_tree import TreeGeometry
+    from repro.sgx.mee import MemoryEncryptionEngine
+
+    size = 200 * 1024
+    device = DRAMDevice("dram", capacity_bytes=64 * (1 << 20))
+    geometry = TreeGeometry.for_data_size(1 << 20, size)
+    engine = MemoryEncryptionEngine(device, geometry, b"k" * 32, MEECache(64, 8))
+    engine.initialize_region()
+    context = random.Random(2020).randbytes(size)
+    builds = []
+
+    def counted_build(*key):
+        builds.append(key)
+        return build(*key)
+
+    build = cache_module._build_schedule
+    monkeypatch.setattr(cache_module, "_build_schedule", counted_build)
+
+    def cycle():
+        engine.power_on(engine.power_off())
+        engine.bulk_write(0, context)
+        engine.power_on(engine.power_off())
+        data, _latency = engine.bulk_read(0, size)
+        assert data == context
+
+    def timed(forget):
+        if forget:
+            cache_module._SCHEDULES.clear()
+        t0 = time.perf_counter()
+        cycle()
+        return time.perf_counter() - t0
+
+    def interleaved():
+        pairs = []
+        for pair in range(MEE_BULK_REPEAT_PAIRS):
+            if pair % 2 == 0:
+                built = timed(True)
+                pairs.append((built, timed(False)))
+            else:
+                replayed = timed(False)
+                pairs.append((timed(True), replayed))
+        return pairs
+
+    cache_module._SCHEDULES.clear()
+    cache = engine.cache
+    before = (cache.hits, cache.misses, cache.evictions)
+    for _ in range(MEE_BULK_REPEAT_CYCLES):
+        cycle()
+    hits, misses, evictions = (
+        after - start for after, start in zip((cache.hits, cache.misses, cache.evictions), before)
+    )
+    built_count = len(builds)
+
+    pairs = run_once(benchmark, interleaved)
+    built_s = statistics.median(built for built, _ in pairs)
+    replayed_s = statistics.median(replayed for _, replayed in pairs)
+    speedup = statistics.median(built / replayed for built, replayed in pairs)
+    assert built_count == 1  # one range: saves and restores share its schedule
+    assert speedup >= MIN_MEE_BULK_REPEAT_SPEEDUP
+    _results["mee_bulk_repeat"] = {
+        "cycles": MEE_BULK_REPEAT_CYCLES,
+        "blocks": geometry.data_blocks,
+        "schedules_built": built_count,
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "cache_evictions": evictions,
+        "built_cycle_wall_s": built_s,
+        "replayed_cycle_wall_s": replayed_s,
+        "speedup": speedup,
+    }
+    emit(
+        f"MEE 200 KB repeated cold save+restore: {MEE_BULK_REPEAT_CYCLES} cycles built "
+        f"{built_count} schedule(s), {hits} hits / {misses} misses / {evictions} evictions; "
+        f"a cycle building its schedule {built_s * 1e3:.2f} ms vs replaying it "
+        f"{replayed_s * 1e3:.2f} ms ({speedup:.2f}x)"
+    )
+
+
 #: Seeded per-access MEE operations timed per round; the figure is the
 #: fastest of ``MEE_RANDOM_ACCESS_ROUNDS`` rounds.
 MEE_RANDOM_ACCESSES = 2000

@@ -148,6 +148,14 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "a later region set-up must replay the sealed version-0 image, not re-seal it",
     ),
     BenchPolicy(
+        "mee_bulk_repeat", "speedup", "floor", 1.2,
+        "a repeated bulk transfer must replay its memoized cache schedule, not rebuild it",
+    ),
+    BenchPolicy(
+        "mee_bulk_repeat", "schedules_built", "ceiling", 1.0,
+        "the saves and restores of one range must share one cache-replay schedule",
+    ),
+    BenchPolicy(
         "explain_fig2_delta", "speedup", "floor", 1.5,
         "explaining a cached pair must reuse the memoized run profiles",
     ),

@@ -11,6 +11,15 @@ walks call :meth:`MEECache.lookup` and :meth:`MEECache.insert`; a bulk
 transfer replays its whole range in one call
 (:meth:`MEECache.replay_writes`, :meth:`MEECache.replay_walks`), which
 leaves the same lines and counts.
+
+Which keys a bulk call touches, in which sets, and which ancestor
+inserts of a range write are no-ops, depend only on the call's range,
+the cache's set count and the tree's shape, never on the cache's
+contents or the counters.  That *schedule* is built once per range and
+kept in a bounded process-wide memo (:data:`_SCHEDULES`); a replay runs
+only the LRU operations it lists, reading each counter at insert time.
+Save and restore cycles move the same ranges over and over, so after the
+first cycle every replay finds its schedule.
 """
 
 from __future__ import annotations
@@ -19,12 +28,88 @@ from collections import OrderedDict
 from itertools import count
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.effects import declares_effects
 from repro.errors import SecurityError
 
 CacheKey = Tuple[int, int]  # (tree level, node index)
 
 #: Level stride of the set mapping, (level * _LEVEL_STRIDE + index) % sets.
 _LEVEL_STRIDE = 1000003
+
+
+def _set_number(level: int, index: int, sets: int) -> int:
+    """The set that node ``(level, index)`` maps to.
+
+    An explicit mix, not hash(): the set mapping — and with it the
+    simulated eviction pattern — must not depend on the interpreter's
+    hash algorithm.
+    """
+    return (level * _LEVEL_STRIDE + index) % sets
+
+
+#: A tree node as a schedule lists it: ``(key, set number, level, index)``.
+Node = Tuple[CacheKey, int, int, int]
+#: One block of a schedule: its key, its set number, the ancestor inserts
+#: a range write makes after the block's own (those the MRU skip keeps),
+#: and every ancestor a verify walk climbs, bottom-up.
+Step = Tuple[CacheKey, int, Tuple[Node, ...], Tuple[Node, ...]]
+ScheduleKey = Tuple[int, int, int, int, int]  # (sets, first, count, levels, arity)
+
+#: Replay schedules built in this process, by ``(sets, first, count,
+#: levels, arity)``, least recently used first.  A platform's save and
+#: restore FSMs move a few fixed ranges, so a few entries serve every
+#: standby cycle; the bound keeps other ranges from piling up.
+_SCHEDULES: "OrderedDict[ScheduleKey, Tuple[Step, ...]]" = OrderedDict()
+_SCHEDULE_SLOTS = 8
+
+
+def _build_schedule(
+    sets: int, first: int, count: int, levels: int, arity: int
+) -> Tuple[Step, ...]:
+    """The schedule of ``count`` blocks from ``first``, ``levels`` tree levels above them.
+
+    A write's ancestor insert is dropped when the range's own traffic
+    already made that key the most recently used of its set: every
+    ancestor is inserted with its final counter, so the re-insert would
+    move, change and count nothing, whatever the cache held before.
+    """
+    recent: List[Optional[CacheKey]] = [None] * sets  # per set, made MRU by the range so far
+    steps = []
+    chain: Tuple[Node, ...] = ()
+    for block in range(first, first + count):
+        if block % arity == 0 or block == first:
+            below, ancestors, index = chain, [], block
+            for level in range(1, levels + 1):
+                index //= arity
+                if below and below[level - 1][3] == index:
+                    ancestors += below[level - 1 :]  # the ancestors above are shared too
+                    break
+                ancestors.append(((level, index), _set_number(level, index, sets), level, index))
+            chain = tuple(ancestors)
+        key = (0, block)
+        number = _set_number(0, block, sets)
+        recent[number] = key
+        inserts = []
+        for node in chain:
+            if recent[node[1]] != node[0]:
+                inserts.append(node)
+                recent[node[1]] = node[0]
+        steps.append((key, number, tuple(inserts), chain))
+    return tuple(steps)
+
+
+@declares_effects("module-state")  # a bounded memo of a pure function: results never see it
+def _schedule(sets: int, first: int, count: int, levels: int, arity: int) -> Tuple[Step, ...]:
+    """:func:`_build_schedule` from :data:`_SCHEDULES`, built and kept on a miss."""
+    key = (sets, first, count, levels, arity)
+    schedule = _SCHEDULES.get(key)
+    if schedule is None:
+        schedule = _SCHEDULES[key] = _build_schedule(*key)
+        if len(_SCHEDULES) > _SCHEDULE_SLOTS:
+            _SCHEDULES.popitem(last=False)
+    else:
+        _SCHEDULES.move_to_end(key)
+    return schedule
 
 
 class MEECache:
@@ -47,13 +132,6 @@ class MEECache:
     def capacity(self) -> int:
         """Total number of nodes the cache can hold."""
         return self.sets * self.ways
-
-    def _set_number(self, key: CacheKey) -> int:
-        # Explicit mix, not hash(): the set mapping — and with it the
-        # simulated eviction pattern — must not depend on the
-        # interpreter's hash algorithm.
-        level, index = key
-        return (level * _LEVEL_STRIDE + index) % self.sets
 
     def lookup(self, key: CacheKey) -> Optional[int]:
         """Return the cached counter for ``key``, or None on a miss."""
@@ -80,25 +158,6 @@ class MEECache:
             self.evictions += 1
         line[key] = counter
 
-    def _ancestors(
-        self, block: int, nodes: Sequence[Mapping[int, int]], arity: int, below: List[tuple]
-    ) -> List[tuple]:
-        """``(key, set number, counter)`` of each ancestor of ``block``, bottom-up.
-
-        Entries of ``below`` (a lower block's ancestors) that still apply
-        are reused, key objects included: the MRU test of
-        :meth:`replay_writes` compares keys by identity.
-        """
-        chain = []
-        index = block
-        for level, counters in enumerate(nodes, start=1):
-            index //= arity
-            if level <= len(below) and below[level - 1][0] == (level, index):
-                return chain + below[level - 1 :]  # the ancestors above are shared too
-            key = (level, index)
-            chain.append((key, self._set_number(key), counters[index]))
-        return chain
-
     def replay_writes(
         self, first: int, stored: Sequence[int], nodes: Sequence[Mapping[int, int]], arity: int
     ) -> List[int]:
@@ -119,19 +178,16 @@ class MEECache:
         """
         lines = self._lines
         ways = self.ways
-        set_number = self._set_number
-        recent: List[Optional[CacheKey]] = [None] * self.sets  # per set, made MRU here
-        chain: List[tuple] = []
+        schedule = _schedule(self.sets, first, len(stored), len(nodes), arity)
         hits = misses = evictions = 0
         versions = []
-        for block, old in zip(count(first), stored):
-            key = (0, block)
-            number = set_number(key)
+        for (key, number, inserts, _chain), old in zip(schedule, stored):
             line = lines[number]
-            if key in line:
+            cached = line.get(key)
+            if cached is not None:
                 line.move_to_end(key)
                 hits += 1
-                version = line[key] + 1
+                version = cached + 1
             else:
                 misses += 1
                 version = old + 1
@@ -139,21 +195,15 @@ class MEECache:
                     line.popitem(last=False)
                     evictions += 1
             line[key] = version
-            recent[number] = key
             versions.append(version)
-            if block % arity == 0 or block == first:
-                chain = self._ancestors(block, nodes, arity, chain)
-            for key, number, counter in chain:
-                if recent[number] is key:
-                    continue
+            for node, number, level, index in inserts:
                 line = lines[number]
-                if key in line:
-                    line.move_to_end(key)
+                if node in line:
+                    line.move_to_end(node)
                 elif len(line) >= ways:
                     line.popitem(last=False)
                     evictions += 1
-                line[key] = counter
-                recent[number] = key
+                line[node] = nodes[level - 1][index]
         self.hits += hits
         self.misses += misses
         self.evictions += evictions
@@ -181,24 +231,21 @@ class MEECache:
         """
         lines = self._lines
         ways = self.ways
-        set_number = self._set_number
-        chain: List[tuple] = []
+        schedule = _schedule(self.sets, first, blocks, len(nodes), arity)
         hits = misses = evictions = 0
         done = []
         try:
-            for block in range(first, first + blocks):
-                if block % arity == 0 or block == first:
-                    chain = self._ancestors(block, nodes, arity, chain)
-                key = (0, block)
-                line = lines[set_number(key)]
-                if key in line:
+            for block, (key, number, _inserts, chain) in zip(count(first), schedule):
+                line = lines[number]
+                cached = line.get(key)
+                if cached is not None:
                     line.move_to_end(key)
                     hits += 1
-                    done.append(line[key])
+                    done.append(cached)
                     continue
                 misses += 1
-                for node, number, counter in chain:
-                    node_line = lines[number]
+                for node, node_number, level, index in chain:
+                    node_line = lines[node_number]
                     if node in node_line:
                         node_line.move_to_end(node)
                         hits += 1
@@ -207,7 +254,7 @@ class MEECache:
                     if len(node_line) >= ways:
                         node_line.popitem(last=False)
                         evictions += 1
-                    node_line[node] = counter
+                    node_line[node] = nodes[level - 1][index]
                     if node == stop:
                         return done
                 # the walk inserts only tree nodes, so the block's key is still absent

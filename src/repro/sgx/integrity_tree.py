@@ -774,16 +774,20 @@ class IntegrityTree:
                 return
             child_index = index
 
-    def verify_pending(self, first: int, count: int) -> Iterator[int]:
+    def verify_pending(
+        self, first: int, count: int
+    ) -> Tuple[List[int], Optional[SecurityError]]:
         """:meth:`verify_range` over blocks that one pending write holds.
 
         Charges the same metadata reads, leaves the same final cache
         state and counts (:meth:`MEECache.replay_walks`, one call for the
-        range) and makes the same root check, yielding each block's
-        version up to the same failing block.  Every MAC check passes:
-        the bytes are the engine's own sealing of the mirror's counters,
-        and nothing can have changed them, since any access to them
-        stores them first.
+        range) and makes the same root check.  Returns the versions
+        :meth:`verify_range` would yield, up to the same failing block,
+        and the error it would raise there (None when every block
+        passes); the caller raises it.  Every MAC check passes: the
+        bytes are the engine's own sealing of the mirror's counters, and
+        nothing can have changed them, since any access to them stores
+        them first.
         """
         geometry = self.geometry
         last = first + count - 1
@@ -801,11 +805,11 @@ class IntegrityTree:
             versions = [] if stop else [pending[0][block] for block in range(first, last + 1)]
         else:
             versions = self.cache.replay_walks(first, count, pending[0], pending[1:], ARITY, stop)
-        yield from versions
         if len(versions) < count:
-            raise SecurityError(
+            return versions, SecurityError(
                 f"root counter mismatch: DRAM={counter} on-chip={self.root_counter}"
             )
+        return versions, None
 
     # --- initialization ------------------------------------------------------------------------
 

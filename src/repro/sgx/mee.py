@@ -349,32 +349,34 @@ class MemoryEncryptionEngine:
         address = self.geometry.block_address(first)
         span = ((offset + length - 1) // BLOCK_SIZE - first + 1) * BLOCK_SIZE
         held = self.tree.pending_plaintext(first, span // BLOCK_SIZE)
-        if held is None:
-            ciphertext, _latency = self.device.read(address, span)
-            versions = self.tree.verify_range(first, ciphertext)
-        else:
+        if held is not None:
             self.device.charge_read(address, span)
-            versions = self.tree.verify_pending(first, span // BLOCK_SIZE)
-        decrypt = self._cipher.decrypt
-        plaintext = []
-        verified = 0
-        try:
-            for position, version in enumerate(versions):
-                if held is None:
+            versions, failure = self.tree.verify_pending(first, span // BLOCK_SIZE)
+            self.stats.blocks_read += len(versions)
+            if failure is not None:
+                self.stats.integrity_violations += 1
+                raise failure
+            data = held
+        else:
+            ciphertext, _latency = self.device.read(address, span)
+            decrypt = self._cipher.decrypt
+            plaintext = []
+            try:
+                for position, version in enumerate(self.tree.verify_range(first, ciphertext)):
                     start = position * BLOCK_SIZE
                     plaintext.append(
                         decrypt(address + start, version, ciphertext[start : start + BLOCK_SIZE])
                     )
-                verified += 1
-        except SecurityError:
-            self.stats.integrity_violations += 1
-            raise
-        finally:
-            # every block verified was decrypted
-            self.stats.blocks_read += verified
+            except SecurityError:
+                self.stats.integrity_violations += 1
+                raise
+            finally:
+                # every block verified was decrypted
+                self.stats.blocks_read += len(plaintext)
+            data = b"".join(plaintext)
         self.stats.bytes_read += length
         start = offset % BLOCK_SIZE
-        data = (b"".join(plaintext) if held is None else held)[start : start + length]
+        data = data[start : start + length]
         blocks, nodes = self._touched_geometry(offset, length)
         leaf_bytes = blocks * self.LEAF_ENTRY_BYTES
         node_bytes = nodes * self.NODE_ENTRY_BYTES

@@ -57,6 +57,7 @@ consecutive cycles match again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -182,12 +183,25 @@ def cycles_for_horizon(
 
     The CLI's ``--horizon`` helper: one cycle is roughly one idle
     interval plus one maintenance burst (flow latencies are microseconds
-    and do not move the count).
+    and do not move the count).  Raises :class:`~repro.errors.MacroError`
+    unless the horizon and the idle interval are finite and positive, the
+    maintenance is finite and non-negative, and the period and the cycle
+    count they give are finite.
     """
-    if horizon_days <= 0:
-        raise MacroError(f"horizon must be positive (got {horizon_days} days)")
+    # chained comparisons are False for NaN, so these refuse it too
+    if not 0 < horizon_days < math.inf:
+        raise MacroError(f"horizon must be finite and positive (got {horizon_days} days)")
+    if not 0 < idle_interval_s < math.inf:
+        raise MacroError(f"idle interval must be finite and positive (got {idle_interval_s} s)")
+    if not 0 <= maintenance_s < math.inf:
+        raise MacroError(f"maintenance must be finite and non-negative (got {maintenance_s} s)")
     period_s = idle_interval_s + maintenance_s
-    return max(1, round(horizon_days * 86400.0 / period_s))
+    if not period_s < math.inf:
+        raise MacroError(f"cycle period must be finite (got {period_s} s)")
+    cycles = horizon_days * 86400.0 / period_s
+    if not cycles < math.inf:
+        raise MacroError(f"{horizon_days} days of {period_s} s cycles overflows the count")
+    return max(1, round(cycles))
 
 
 class MacroEngine:

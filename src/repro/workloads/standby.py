@@ -235,8 +235,13 @@ class ConnectedStandbyRunner:
         Active/Entry/DRIPS/Exit phases for every configuration — the
         unbiased comparison the break-even sweep needs.
         """
+        for name, value in (("cycles", cycles), ("warmup_cycles", warmup_cycles)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise WorkloadError(f"{name} must be an int, not {value!r}")
         if cycles <= 0:
             raise WorkloadError("need at least one measured cycle")
+        if warmup_cycles < 0:
+            raise WorkloadError(f"warmup cycles must be non-negative: {warmup_cycles}")
         p = self.platform
         if not p.booted:
             p.boot()

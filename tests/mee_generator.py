@@ -7,10 +7,11 @@ prebuilt or built by the walks, and a :class:`Planner` that expands op
 kinds into engine steps: per-access reads, writes, 16-byte
 read-modify-writes and multi-block spans; bulk saves and restores
 (unaligned, empty, save then restore, a save over part of a pending
-save); raw DRAM reads; a tamper of each field; whole-region snapshot
-replays; MEE power cycles and power-on with the start-up state; DRAM
-power loss; ``initialize_region``; tree calls outside the region.  A test
-may re-weight the op kinds, narrow the tamper fields or rule out PCM.
+save, the last save's range again across MEE power cycles); raw DRAM
+reads; a tamper of each field; whole-region snapshot replays; MEE power
+cycles and power-on with the start-up state; DRAM power loss;
+``initialize_region``; tree calls outside the region.  A test may
+re-weight the op kinds, narrow the tamper fields or rule out PCM.
 
 :class:`Differential` runs each step on the shipped engine and on
 :func:`~mee_reference.reference_engine`, which must agree on the
@@ -29,7 +30,7 @@ from mee_reference import RecordingDevice, reference_engine, shipped_engine
 from repro.errors import MemoryFault, SecurityError
 from repro.memory.dram import DRAMDevice
 from repro.memory.nvm import PCMDevice
-from repro.sgx.cache import MEECache
+from repro.sgx.cache import _SCHEDULES, MEECache
 from repro.sgx.integrity_tree import ARITY, BLOCK_SIZE, COUNTER_BYTES, TreeGeometry
 from repro.sgx.mee import _IMAGES
 
@@ -47,6 +48,9 @@ KINDS = {
     "save_restore": 5, "overlap": 3, "raw": 2, "tamper": 8, "cycle": 3, "startup": 1,
     "power_loss": 1, "initialize": 1, "replay": 1, "bad": 2,
 }
+#: Op kinds around one range saved and restored again and again across
+#: MEE power cycles, as CTX-SGX-DRAM does every standby cycle.
+REPEATS = {"save": 3, "save_restore": 3, "repeat": 12, "read": 3, "write": 2, "cycle": 2}
 BULK = ("bulk_write", "bulk_read")
 
 
@@ -103,6 +107,12 @@ class Planner:
             self.saved = (start, end - start)
             data = rng.randbytes((end - start) * BLOCK_SIZE)
             plan.append(("bulk_write", start * BLOCK_SIZE, data))
+        elif kind == "repeat":
+            # the last save's range again after a power cycle, restored after another
+            first, count = self.saved
+            at, length = first * BLOCK_SIZE, count * BLOCK_SIZE
+            plan += [("cycle",), ("bulk_write", at, rng.randbytes(length))]
+            plan += [("cycle",), ("bulk_read", at, length)]
         elif kind == "raw":
             plan.append(("raw", rng.randrange(1 << 20), rng.randint(1, 96)))
         elif kind == "tamper":
@@ -149,6 +159,27 @@ def generated_case(seed, kinds=KINDS, fields=FIELDS, pcm=0.2, steps=None):
 def image_path(engine):
     """How a shipped ``engine``'s next set-up gets its region image: built or replayed."""
     return ("image", "replayed" if engine._image_key in _IMAGES else "built")
+
+
+def schedule_key(engine, step):
+    """The cache-replay schedule key of a shipped bulk ``step``, or None if it replays none.
+
+    A bulk write replays its whole blocks; a bulk read replays only when
+    one pending write holds its blocks.
+    """
+    tree = engine.tree
+    offset, data = step[1:]
+    if tree.cache is None:
+        return None
+    if step[0] == "bulk_write":
+        head = min(-offset % BLOCK_SIZE, len(data))
+        first, count = (offset + head) // BLOCK_SIZE, (len(data) - head) // BLOCK_SIZE
+    else:
+        first = offset // BLOCK_SIZE
+        count = (offset + data - 1) // BLOCK_SIZE - first + 1 if data else 0
+        if not count or tree.pending_plaintext(first, count) is None:
+            return None
+    return (tree.cache.sets, first, count, engine.geometry.levels, ARITY) if count else None
 
 
 def make_side(shipped, blocks, cache, device_kind, clear_records, source=None, seen=None):
@@ -327,8 +358,9 @@ class Differential:
 
     :attr:`seen` collects what the case covered: its cache, device and
     padding, each shipped set-up's :func:`image_path`, every op kind and
-    feature stepped, each tamper field,
-    ``("served",)`` for a bulk read served from a pending save, and
+    feature stepped, each tamper field, ``("served",)`` for a bulk read
+    served from a pending save, ``("schedule replayed", kind)`` for a
+    bulk transfer whose cache replay found its schedule memoized, and
     ``("twin", since)`` for a bulk transfer checked against the twin
     after the tamper field (or ``"replay"``, or None) last applied.
     :attr:`raised` collects ``(path, error type, first word of the
@@ -370,6 +402,8 @@ class Differential:
         if kind == "bulk_read" and step[2]:
             first, last = step[1] // BLOCK_SIZE, (step[1] + step[2] - 1) // BLOCK_SIZE
             held = shipped.tree.pending_plaintext(first, last - first + 1)
+        schedule = schedule_key(shipped, step) if kind in BULK else None
+        scheduled = schedule in _SCHEDULES
         sealed = len(self.seals)
         outcomes = [
             run_step(engine, inner, memo, step, twin=index == 2)
@@ -392,6 +426,8 @@ class Differential:
             self.raised.add((path, want[0], want[1].split(" ")[0]))
         if held is not None and not failed(want) and len(self.seals) == sealed:
             seen.add(("served",))  # a bulk read from a pending save, never sealed
+        if scheduled and next(reversed(_SCHEDULES)) == schedule:
+            seen.add(("schedule replayed", kind))  # a memoized schedule, not one built
         if kind == "tamper":
             seen.add(("tamper", step[1]))
             self.since = step[1]

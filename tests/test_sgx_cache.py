@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from mee_generator import REPEATS, check_cases
 from mee_reference import walk_traffic, write_traffic
 
 from repro.errors import SecurityError
-from repro.sgx.cache import MEECache
+from repro.sgx.cache import _SCHEDULE_SLOTS, _SCHEDULES, MEECache, _build_schedule, _schedule
 
 
 class TestLookup:
@@ -97,9 +98,8 @@ def cache_state(cache):
     )
 
 
-def generated_case(seed):
-    """A cache geometry, a tree shape, prior traffic and one block range."""
-    rng = random.Random(seed)
+def generated_shape(rng):
+    """A cache geometry, a tree shape (nodes per level, blocks first) and one block range."""
     arity = 8
     sets = rng.choice([1, 1, 2, 3, rng.randint(4, 64), 64])
     ways = rng.choice([1, 1, 2, rng.randint(3, 8), 8])
@@ -110,6 +110,13 @@ def generated_case(seed):
         counts.append(-(-counts[-1] // arity))
     length = rng.randint(1, min(data_blocks, rng.choice([8, 40, 300])))
     first = rng.randrange(data_blocks - length + 1)
+    return sets, ways, counts, first, length
+
+
+def generated_traffic(rng, sets, ways, counts, first, length):
+    """Counters, the range's stored versions, prior traffic and a walk stop over one shape."""
+    arity = 8
+    levels = len(counts) - 1
     values = [{index: rng.randrange(100) for index in range(count)} for count in counts]
     stored = [values[0][block] for block in range(first, first + length)]
     prior = []
@@ -122,7 +129,15 @@ def generated_case(seed):
         level = rng.randint(1, levels)
         prior.append((True, (level, first // arity**level), rng.randrange(100)))
     stop = (levels, 0) if rng.random() < 0.3 else None
-    return sets, ways, arity, first, stored, values, prior, stop
+    return values, stored, prior, stop
+
+
+def generated_case(seed):
+    """A cache geometry, a tree shape, prior traffic and one block range."""
+    rng = random.Random(seed)
+    sets, ways, counts, first, length = generated_shape(rng)
+    values, stored, prior, stop = generated_traffic(rng, sets, ways, counts, first, length)
+    return sets, ways, 8, first, stored, values, prior, stop
 
 
 def warmed(sets, ways, prior):
@@ -139,7 +154,9 @@ class TestReplayDifferential:
     """The bulk replays against the reference's per-block lookups and inserts, generated.
 
     Geometries of 1-64 sets and 1-8 ways, 1-4 tree levels, random prior
-    lookups and inserts, ranges that cross node boundaries.  Wall
+    lookups and inserts, ranges that cross node boundaries.  A replay's
+    schedule is memoized per range for the whole process, so the checks
+    cover both a schedule just built and one found in the memo.  Wall
     budget: 2 s for this class (about 1 s on a 2-core Xeon host).
     """
 
@@ -187,3 +204,69 @@ class TestReplayDifferential:
         assert list(cache._lines[0].items()) == [((0, 0), 4)]
         assert list(cache._lines[1].items()) == [((1, 0), 7)]
         assert (cache.hits, cache.misses, cache.evictions) == (0, 1, 0)
+
+    #: Shapes of the schedule-hit test, each replayed at three keys twice.
+    HIT_CASES = 60
+    #: Generated cases of repeated saves and restores (:data:`mee_generator.REPEATS`).
+    REPEAT_CASES = 3
+
+    def test_schedule_hits_equal_per_block_traffic(self):
+        """A range written then walked again over new prior traffic and counters.
+
+        Each shape is replayed at its own key, at another ``first`` of the
+        same length and at another set count, twice round; every replay
+        after the first at a key finds its schedule memoized.  The walks
+        run on the cache the writes left, as a restore follows a save.
+        """
+        hits = stopped = 0
+        for seed in range(self.HIT_CASES):
+            rng = random.Random(f"schedule hits:{seed}")
+            sets, ways, counts, first, length = generated_shape(rng)
+            levels = len(counts) - 1
+            other_first = rng.randrange(counts[0] - length + 1)
+            other_sets = rng.choice([count for count in (1, 2, 3, 7, 64) if count != sets])
+            variants = [(sets, first), (sets, other_first), (other_sets, first)]
+            for variant_sets, variant_first in variants:
+                _SCHEDULES.pop((variant_sets, variant_first, length, levels, 8), None)
+            for round_ in range(2):
+                for variant_sets, variant_first in variants:
+                    key = (variant_sets, variant_first, length, levels, 8)
+                    hits += key in _SCHEDULES
+                    assert key in _SCHEDULES or not round_, (seed, key)
+                    values, stored, prior, stop = generated_traffic(
+                        rng, variant_sets, ways, counts, variant_first, length
+                    )
+                    nodes = values[1:]
+                    top = values[-1][0]
+                    root = top if stop is None else top + 1
+                    want_cache = warmed(variant_sets, ways, prior)
+                    cache = warmed(variant_sets, ways, prior)
+                    want = (
+                        write_traffic(want_cache, variant_first, stored, nodes),
+                        walk_traffic(want_cache, variant_first, length, values[0], nodes, root),
+                    )
+                    got = (
+                        cache.replay_writes(variant_first, stored, nodes, 8),
+                        cache.replay_walks(variant_first, length, values[0], nodes, 8, stop),
+                    )
+                    assert (got, cache_state(cache)) == (want, cache_state(want_cache)), (seed, key)
+                    stopped += len(want[1]) < length
+        assert hits >= 3 * self.HIT_CASES
+        assert stopped  # some walks reach a failing top node
+
+    def test_memo_is_bounded_and_an_evicted_schedule_rebuilds_equal(self):
+        kept = _schedule(64, 0, 300, 3, 8)
+        for first in range(1, _SCHEDULE_SLOTS + 3):  # more distinct ranges than slots
+            _schedule(64, first, 300, 3, 8)
+            assert len(_SCHEDULES) <= _SCHEDULE_SLOTS
+        assert (64, 0, 300, 3, 8) not in _SCHEDULES
+        rebuilt = _schedule(64, 0, 300, 3, 8)
+        assert rebuilt is not kept
+        assert rebuilt == kept == _build_schedule(64, 0, 300, 3, 8)
+
+    def test_repeated_transfers_across_flushes_equal_the_reference(self):
+        """Generated cases that save and restore one range again and again across
+        MEE power cycles: memoized schedules leave what the reference leaves."""
+        seen, _raised = check_cases(range(4000, 4000 + self.REPEAT_CASES), kinds=REPEATS)
+        assert {("schedule replayed", kind) for kind in ("bulk_write", "bulk_read")} <= seen
+        assert len(_SCHEDULES) <= _SCHEDULE_SLOTS

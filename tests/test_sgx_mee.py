@@ -395,6 +395,24 @@ class TestBulkTamper:
             outcomes.append((str(error.value), mee.stats, mee.cache.hits, mee.cache.misses))
         assert outcomes[0] == outcomes[1]
 
+    def test_failed_root_check_counts_the_blocks_read_before_it(self):
+        """Block 1's cached leaf verifies it; block 2's walk reaches the stale
+        root.  Pending or sealed, one block is read and one violation counted."""
+        outcomes = []
+        for seal_first in (False, True):
+            _device, mee = make_mee()
+            mee.bulk_write(0, bytes(range(256)) * 4)
+            if seal_first:
+                mee.tree.materialize()
+            mee.tree.root_counter += 1
+            mee.cache.flush()
+            mee.cache.insert((0, 1), 1)
+            with pytest.raises(SecurityError, match="root counter mismatch") as error:
+                mee.bulk_read(64, 256)
+            outcomes.append((str(error.value), mee.stats, mee.cache.hits, mee.cache.misses))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][1].blocks_read, outcomes[0][1].integrity_violations) == (1, 1)
+
 
 class TestRoundtripProperty:
     @given(

@@ -227,12 +227,14 @@ class TestTamperDetection:
         walk reaches a top node the on-chip root disagrees with."""
         _device, _geometry, tree = make_tree(cached=cached)
         tree.update_range(2, bytes(4 * BLOCK_SIZE), lambda address, version, block: block)
-        assert list(tree.verify_pending(2, 4)) == [1, 1, 1, 1]
+        assert tree.verify_pending(2, 4) == ([1, 1, 1, 1], None)
         tree.root_counter += 1
         if cached:
             tree.cache.flush()
-        with pytest.raises(SecurityError, match="root counter mismatch: DRAM=4 on-chip=5"):
-            next(tree.verify_pending(2, 4))
+        versions, failure = tree.verify_pending(2, 4)
+        assert versions == []
+        assert isinstance(failure, SecurityError)
+        assert str(failure) == "root counter mismatch: DRAM=4 on-chip=5"
 
     def test_version_rollback_under_valid_group_detected(self):
         device, geometry, tree = make_tree(cached=False)

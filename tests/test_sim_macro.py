@@ -10,6 +10,8 @@ totals within golden tolerance.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.config import StandbyWorkloadConfig, skylake_config
@@ -254,6 +256,30 @@ class TestHorizonHelper:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(MacroError):
             cycles_for_horizon(0.0, 30.0, 0.145)
+
+    def test_rejects_nan_idle_interval(self):
+        # used to raise ValueError from round()
+        with pytest.raises(MacroError, match="idle interval"):
+            cycles_for_horizon(7.0, math.nan, 0.145)
+
+    def test_rejects_negative_maintenance(self):
+        # used to raise ZeroDivisionError on a zero period
+        with pytest.raises(MacroError, match="maintenance"):
+            cycles_for_horizon(7.0, 30.0, -30.0)
+
+    def test_rejects_infinite_idle_interval(self):
+        # used to return one cycle
+        with pytest.raises(MacroError, match="idle interval"):
+            cycles_for_horizon(7.0, math.inf, 0.145)
+
+    def test_rejects_negative_idle_interval(self):
+        # used to return one cycle
+        with pytest.raises(MacroError, match="idle interval"):
+            cycles_for_horizon(7.0, -5.0, 0.145)
+
+    def test_rejects_an_overflowing_period(self):
+        with pytest.raises(MacroError, match="period"):
+            cycles_for_horizon(7.0, 1e308, 1e308)
 
 
 class TestRotatingContextPeriod:

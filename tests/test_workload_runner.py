@@ -63,6 +63,34 @@ class TestBasicRuns:
             make_runner(idle_interval_s=0.0)
 
 
+class TestCycleCountBoundary:
+    """Cycle counts the runner must refuse before it simulates anything."""
+
+    def test_fractional_cycles_rejected(self):
+        # used to raise TypeError from a wake-log index
+        with pytest.raises(WorkloadError, match="cycles must be an int"):
+            make_runner(idle_interval_s=0.5).run(cycles=2.5)
+
+    def test_fractional_warmup_rejected(self):
+        # used to raise TypeError from a wake-log index
+        with pytest.raises(WorkloadError, match="warmup_cycles must be an int"):
+            make_runner(idle_interval_s=0.5).run(cycles=1, warmup_cycles=1.5)
+
+    def test_bool_cycles_rejected(self):
+        # used to run one cycle
+        with pytest.raises(WorkloadError, match="cycles must be an int"):
+            make_runner(idle_interval_s=0.5).run(cycles=True)
+
+    def test_negative_warmup_rejected(self):
+        # used to raise MeasurementError from the residency report
+        with pytest.raises(WorkloadError, match="warmup cycles must be non-negative"):
+            make_runner(idle_interval_s=0.5).run(cycles=1, warmup_cycles=-1)
+
+    def test_measure_rejects_fractional_cycles(self):
+        with pytest.raises(WorkloadError, match="cycles must be an int"):
+            ODRIPSController().measure(cycles=2.5)
+
+
 #: Durations the runner must refuse at its boundary, each of which used
 #: to fail deep inside a conversion or a flow instead.
 BAD_DURATIONS = [
