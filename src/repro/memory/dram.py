@@ -42,6 +42,11 @@ class DRAMState(enum.Enum):
     OFF = "off"                 # power removed, data lost
 
 
+#: The one state that takes accesses; a module constant, since looking a
+#: member up on the enum class costs more than the access check itself.
+_ACTIVE = DRAMState.ACTIVE
+
+
 class DRAMDevice:
     """A dual-channel DDR3L DIMM model.
 
@@ -81,6 +86,8 @@ class DRAMDevice:
         #: Latency in picoseconds per access length at the current
         #: frequency; :meth:`set_frequency` drops it.
         self._costs = _LatencyMemo(self.transfer_latency_ps)
+        #: Its lookup, bound once: the cost the store's gather charges per span.
+        self._cost = self._costs.__getitem__
         self._update_power()
 
     # --- derived quantities ------------------------------------------------
@@ -161,7 +168,7 @@ class DRAMDevice:
     # --- access ----------------------------------------------------------------
 
     def _check_accessible(self) -> None:
-        if self._state != DRAMState.ACTIVE:
+        if self._state is not _ACTIVE:
             raise MemoryFault(f"{self.name}: access in state {self._state.value}")
 
     def transfer_latency_ps(self, length: int) -> int:
@@ -180,29 +187,23 @@ class DRAMDevice:
         """Read several ``(address, length)`` spans; returns ``(chunks, latency_ps)``.
 
         The one charging path of reads: each span is checked, read and
-        charged (``bytes_read``) exactly as a lone
-        :meth:`read` would be, in order, and the latencies are summed.
-        The bytes come from one store gather
-        (:meth:`~repro.memory.store.SparseMemory.read_spans`).  A fault
-        leaves the spans before it charged.
+        charged (``bytes_read``) exactly as a lone :meth:`read` would be,
+        in order, and the latencies are summed.  One store gather
+        (:meth:`~repro.memory.store.SparseMemory.read_spans`) slices the
+        bytes and totals them and their latencies from the per-length
+        memo.  A fault leaves the spans before it charged.
         """
         if not spans:
             return [], 0
         self._check_accessible()  # the state cannot change mid-call
-        store = self._store
         try:
-            chunks = store.read_spans(spans)
+            chunks, read, latency_ps = self._store.read_spans(spans, self._cost)
         except MemoryFault:
             # charge span by span up to the one that faults again
             for address, length in spans:
-                store.read(address, length)
+                self._store.read(address, length)
                 self.bytes_read += length
             raise
-        costs = self._costs
-        latency_ps = read = 0
-        for _address, length in spans:
-            read += length
-            latency_ps += costs[length]
         self.bytes_read += read
         return chunks, latency_ps
 

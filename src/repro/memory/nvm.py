@@ -110,28 +110,24 @@ class NVMDevice:
         """Read several ``(address, length)`` spans; returns ``(chunks, latency_ps)``.
 
         The one charging path of reads: each span is checked, read and
-        charged (``bytes_read``) exactly as a lone
-        :meth:`read` would be, in order, and the latencies are summed.
-        The bytes come from one store gather
-        (:meth:`~repro.memory.store.SparseMemory.read_spans`).  A fault
-        leaves the spans before it charged.
+        charged (``bytes_read``) exactly as a lone :meth:`read` would be,
+        in order, and the latencies are summed.  One store gather
+        (:meth:`~repro.memory.store.SparseMemory.read_spans`) slices the
+        bytes and totals them and their latencies, each computed from the
+        read bandwidth as it is now (a public attribute, so no memo).  A
+        fault leaves the spans before it charged.
         """
         if not spans:
             return [], 0
         self._check_powered()  # power cannot change mid-call
-        store = self._store
         try:
-            chunks = store.read_spans(spans)
+            chunks, read, latency_ps = self._store.read_spans(spans, self._read_cost)
         except MemoryFault:
             # charge span by span up to the one that faults again
             for address, length in spans:
-                store.read(address, length)
+                self._store.read(address, length)
                 self.bytes_read += length
             raise
-        latency_ps = read = 0
-        for _address, length in spans:
-            read += length
-            latency_ps += self._read_cost(length)
         self.bytes_read += read
         return chunks, latency_ps
 

@@ -16,7 +16,7 @@ bytes as if they had been stored when they were written.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MemoryFault
 
@@ -84,35 +84,6 @@ class SparseMemory:
 
     def read(self, address: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``address``."""
-        return self.read_spans(((address, length),))[0]
-
-    def read_spans(self, spans: Sequence[Tuple[int, int]]) -> List[bytes]:
-        """:meth:`read` of each ``(address, length)`` span, in order, in one call.
-
-        A span inside one page is sliced here while the deferral slot is
-        empty; any other span settles, checks and joins its pages.  A bad
-        span raises :class:`~repro.errors.MemoryFault` after the spans
-        before it were read.
-        """
-        pages = self._pages
-        capacity = self.capacity_bytes
-        deferred = self._deferred is not None
-        chunks = []
-        for address, length in spans:
-            start = address % PAGE_SIZE
-            end = start + length
-            if not deferred and start <= end <= PAGE_SIZE and 0 <= address <= capacity - length:
-                page = pages.get(address // PAGE_SIZE)
-                if page is None:
-                    chunks.append(bytes([self.fill]) * length)
-                else:
-                    chunks.append(bytes(page[start:end]))
-            else:
-                chunks.append(self._read_range(address, length))
-        return chunks
-
-    def _read_range(self, address: int, length: int) -> bytes:
-        """One span, any length: settle the deferral, check, join its pages."""
         if self._deferred is not None:
             self._settle(address, length)
         self._check_range(address, length)
@@ -132,6 +103,38 @@ class SparseMemory:
             offset += chunk
         return b"".join(parts)
 
+    def read_spans(
+        self, spans: Sequence[Tuple[int, int]], cost: Callable[[int], int]
+    ) -> Tuple[List[bytes], int, int]:
+        """:meth:`read` of each ``(address, length)`` span, in order, with its charge.
+
+        Returns ``(chunks, bytes, cost)``: the chunks, their total length
+        and the sum of ``cost(length)`` over the spans, all from one
+        pass.  A span inside one page is sliced here while the deferral
+        slot is empty; any other goes through :meth:`read`.  A bad span
+        raises :class:`~repro.errors.MemoryFault` after the spans before
+        it were read.
+        """
+        pages = self._pages
+        capacity = self.capacity_bytes
+        deferred = self._deferred is not None
+        chunks = []
+        total = charged = 0
+        for address, length in spans:
+            start = address % PAGE_SIZE
+            end = start + length
+            if not deferred and start <= end <= PAGE_SIZE and 0 <= address <= capacity - length:
+                page = pages.get(address // PAGE_SIZE)
+                if page is None:
+                    chunks.append(bytes([self.fill]) * length)
+                else:
+                    chunks.append(bytes(page[start:end]))
+            else:
+                chunks.append(self.read(address, length))
+            total += length
+            charged += cost(length)
+        return chunks, total, charged
+
     def write(self, address: int, data: bytes) -> None:
         """Write ``data`` starting at ``address``.
 
@@ -141,15 +144,15 @@ class SparseMemory:
         length = len(data)
         if self._deferred is not None:
             self._settle(address, length)
-        self._check_range(address, length)
-        page_index, page_offset = divmod(address, PAGE_SIZE)
-        if 0 < length < PAGE_SIZE - page_offset:
-            # inside one page and not all of it: one slice assignment
-            page = self._pages.get(page_index)
+        page_offset = address % PAGE_SIZE
+        if 0 < length < PAGE_SIZE - page_offset and 0 <= address <= self.capacity_bytes - length:
+            # inside one page and not all of it, in range: one slice assignment
+            page = self._pages.get(address // PAGE_SIZE)
             if page is None:
-                page = self._pages[page_index] = bytearray([self.fill]) * PAGE_SIZE
+                page = self._pages[address // PAGE_SIZE] = bytearray([self.fill]) * PAGE_SIZE
             page[page_offset : page_offset + length] = data
             return
+        self._check_range(address, length)
         # a write that spans pages is sliced through a view, so no chunk is
         # copied twice; a one-page write slices ``data`` itself, which for
         # ``bytes`` is no copy and costs less than making the view

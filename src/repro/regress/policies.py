@@ -136,12 +136,20 @@ BENCH_POLICIES: Tuple[BenchPolicy, ...] = (
         "per-access MEE tree walks must stay cheap on the host",
     ),
     BenchPolicy(
-        "mee_random_access", "device_calls_per_access", "ceiling", 10.0,
+        "mee_random_access", "device_calls_per_access", "ceiling", 8.5665,
         "a per-access tree walk must read each level's metadata in one device call",
     ),
     BenchPolicy(
         "mee_random_access", "charged_accesses_per_access", "ceiling", 20.1655,
         "a host-side speed-up of the per-access walks must not add modeled DRAM traffic",
+    ),
+    BenchPolicy(
+        "mee_random_access", "mac_tags_per_access", "ceiling", 3.56,
+        "a host-side speed-up of the per-access walks must not add MACs",
+    ),
+    BenchPolicy(
+        "mee_random_access", "keystream_blocks_per_access", "ceiling", 2.278,
+        "a host-side speed-up of the per-access path must not draw more keystream",
     ),
     BenchPolicy(
         "mee_region_setup", "speedup", "floor", 10.0,

@@ -24,8 +24,12 @@ _SHA256_BLOCK = hashlib.sha256().block_size
 _IPAD = bytes(byte ^ 0x36 for byte in range(256))
 _OPAD = bytes(byte ^ 0x5C for byte in range(256))
 _LENGTH_PREFIX = struct.Struct(">I")
+#: The length prefix of every part shorter than 256 bytes, by length.
+_SHORT_PREFIXES = tuple(_LENGTH_PREFIX.pack(length) for length in range(256))
 _KEYSTREAM_SEED = struct.Struct(">QQI")
-_COUNTER = struct.Struct(">Q")
+#: A counter as stored and MAC'd: 64 bits, big-endian, after :data:`COUNTER_WRAP`.
+COUNTER = struct.Struct(">Q")
+COUNTER_WRAP = (1 << 64) - 1
 
 
 def _require_bytes(key, what: str) -> None:
@@ -79,11 +83,16 @@ class CtrCipher:
         self._inner, self._outer = _pad_states(key)
 
     def _keystream(self, address: int, version: int, length: int) -> bytes:
+        """HMAC of ``address || version || i`` per 32-byte block ``i``, cut to ``length``."""
         inner, outer = self._inner, self._outer
-        return b"".join([
-            _hmac(inner, outer, _KEYSTREAM_SEED.pack(address, version, i))
-            for i in range((length + _DIGEST_SIZE - 1) // _DIGEST_SIZE)
-        ])[:length]
+        blocks = []
+        for i in range((length + _DIGEST_SIZE - 1) // _DIGEST_SIZE):
+            state = inner.copy()
+            state.update(_KEYSTREAM_SEED.pack(address, version, i))
+            result = outer.copy()
+            result.update(state.digest())
+            blocks.append(result.digest())
+        return b"".join(blocks)[:length]
 
     def encrypt(self, address: int, version: int, plaintext: bytes) -> bytes:
         """Encrypt ``plaintext`` bound to ``(address, version)``."""
@@ -91,9 +100,8 @@ class CtrCipher:
         mixed = int.from_bytes(plaintext, "big") ^ int.from_bytes(stream, "big")
         return mixed.to_bytes(len(plaintext), "big")
 
-    def decrypt(self, address: int, version: int, ciphertext: bytes) -> bytes:
-        """Decrypt; identical to :meth:`encrypt` in counter mode."""
-        return self.encrypt(address, version, ciphertext)
+    #: Decrypt ``(address, version, ciphertext)``: the same XOR in counter mode.
+    decrypt = encrypt
 
 
 class MacKey:
@@ -106,22 +114,42 @@ class MacKey:
         self._inner, self._outer = _pad_states(key)
 
     def tag(self, *parts: bytes) -> bytes:
-        """MAC over the concatenation of ``parts`` (length-prefixed)."""
-        message = b"".join([_LENGTH_PREFIX.pack(len(part)) + part for part in parts])
-        return _hmac(self._inner, self._outer, message)[:MAC_LENGTH]
+        """MAC over the concatenation of ``parts``, each after its 4-byte length."""
+        state = self._inner.copy()
+        update = state.update
+        for part in parts:
+            length = len(part)
+            update(_SHORT_PREFIXES[length] if length < 256 else _LENGTH_PREFIX.pack(length))
+            update(part)
+        result = self._outer.copy()
+        result.update(state.digest())
+        return result.digest()[:MAC_LENGTH]
 
     def verify(self, expected: bytes, *parts: bytes) -> bool:
-        """Constant-time comparison of ``expected`` against the fresh tag."""
-        return hmac.compare_digest(expected, self.tag(*parts))
+        """Constant-time comparison of ``expected`` against the fresh tag.
+
+        Computes the tag as :meth:`tag` does, inline: most of a tree
+        walk's MACs are checks, and calling :meth:`tag` would add a
+        Python call to each.
+        """
+        state = self._inner.copy()
+        update = state.update
+        for part in parts:
+            length = len(part)
+            update(_SHORT_PREFIXES[length] if length < 256 else _LENGTH_PREFIX.pack(length))
+            update(part)
+        result = self._outer.copy()
+        result.update(state.digest())
+        return hmac.compare_digest(expected, result.digest()[:MAC_LENGTH])
 
 
 def pack_counter(value: int) -> bytes:
     """Serialize a 64-bit counter for MAC input / DRAM storage."""
-    return _COUNTER.pack(value & ((1 << 64) - 1))
+    return COUNTER.pack(value & COUNTER_WRAP)
 
 
 def unpack_counter(data: bytes) -> int:
     """Inverse of :func:`pack_counter`."""
     if len(data) != 8:
         raise SecurityError(f"counter field must be 8 bytes, got {len(data)}")
-    return _COUNTER.unpack(data)[0]
+    return COUNTER.unpack(data)[0]

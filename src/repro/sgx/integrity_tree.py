@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tu
 
 from repro.errors import MemoryFault, SecurityError
 from repro.sgx.cache import MEECache
-from repro.sgx.crypto import MacKey, pack_counter, unpack_counter
+from repro.sgx.crypto import COUNTER, COUNTER_WRAP, MacKey, pack_counter, unpack_counter
 
 BLOCK_SIZE = 64
 ARITY = 8
@@ -52,11 +52,15 @@ class _Node(NamedTuple):
 
     ``walk`` is the reads a verify walk makes of the node on a cache
     miss: its counter, its children's counters, its MAC.  A hit reads
-    ``walk[1:]``; an update reads ``walk[:1]``, then ``walk[1:-1]``.
+    ``hit`` (``walk[1:]``); an update reads ``counter`` (``walk[:1]``),
+    then ``children`` (``walk[1:-1]``).
     """
 
     address: int  # the counter; the MAC follows it
     walk: Tuple[Tuple[int, int], ...]  # (address, length) per charged read
+    hit: Tuple[Tuple[int, int], ...]  # the spans of walk after the counter's
+    counter: Tuple[Tuple[int, int], ...]  # the counter's span alone
+    children: Tuple[Tuple[int, int], ...]  # the children's spans
     label: bytes  # b"node:{level}:{index}", the first input of the node's MAC
     pad: bytes  # zero counters that fill a short last node's children to ARITY
 
@@ -306,9 +310,14 @@ class IntegrityTree:
                 children = tuple(
                     (start + child * _RECORD_BYTES, COUNTER_BYTES) for child in range(count)
                 )
+            counter = ((address, COUNTER_BYTES),)
+            hit = (*children, (address + COUNTER_BYTES, MAC_BYTES))
             nodes[index] = _Node(
                 address,
-                ((address, COUNTER_BYTES), *children, (address + COUNTER_BYTES, MAC_BYTES)),
+                counter + hit,
+                hit,
+                counter,
+                children,
                 _label(level, index),
                 bytes((ARITY - count) * COUNTER_BYTES),
             )
@@ -347,10 +356,13 @@ class IntegrityTree:
         self.metadata_latency_ps += latency
         trusted = version is not None
         if not trusted:
-            version = unpack_counter(raw_version)
-        address = self._data_offset + block * BLOCK_SIZE
+            version = COUNTER.unpack(raw_version)[0]
         if not self.mac_key.verify(
-            stored_mac, b"data", pack_counter(address), pack_counter(version), ciphertext
+            stored_mac,
+            b"data",
+            COUNTER.pack((self._data_offset + block * BLOCK_SIZE) & COUNTER_WRAP),
+            COUNTER.pack(version & COUNTER_WRAP),
+            ciphertext,
         ):
             raise SecurityError(f"data MAC mismatch on block {block}")
         if trusted:
@@ -364,41 +376,47 @@ class IntegrityTree:
         cache = self.cache
         read_spans = self.device.read_spans
         verify = self.mac_key.verify
-        top = self.geometry.levels
+        pack, unpack = COUNTER.pack, COUNTER.unpack
+        top = len(self._nodes)
         index = block
-        for level, nodes in enumerate(self._nodes, start=1):
-            index //= ARITY
-            _address, walk, label, pad = nodes.get(index) or self._node(level, index)
-            cached = cache.lookup((level, index)) if cache is not None else None
-            # one device call per level: [counter on a miss,] children, MAC
-            if cached is None:
-                chunks, spent = read_spans(walk)
-                counter = unpack_counter(chunks[0])
-                children = b"".join(chunks[1:-1]) + pad
-            else:
-                chunks, spent = read_spans(walk[1:])
-                counter = cached
-                children = b"".join(chunks[:-1]) + pad
-            self.metadata_accesses += len(chunks)
-            self.metadata_latency_ps += spent
-            if not verify(chunks[-1], label, pack_counter(counter), children):
-                raise SecurityError(f"tree MAC mismatch at level {level} node {index}")
-            if level == 1:
-                # confirm the leaf version we used is the one under this MAC
-                offset = (block % ARITY) * COUNTER_BYTES
-                covered = unpack_counter(children[offset : offset + COUNTER_BYTES])
-                if covered != leaf_version:
-                    raise SecurityError(f"leaf version replay on block {block}")
-            if cached is not None:
-                return  # cached counters are inside the security perimeter
-            if cache is not None:
-                cache.insert((level, index), counter)
-            if level == top:
-                if counter != self.root_counter:
-                    raise SecurityError(
-                        f"root counter mismatch: DRAM={counter} on-chip={self.root_counter}"
-                    )
-                return
+        accesses = latency_ps = 0
+        try:
+            for level, nodes in enumerate(self._nodes, start=1):
+                index //= ARITY
+                node = nodes.get(index) or self._node(level, index)
+                cached = cache.lookup((level, index)) if cache is not None else None
+                # one device call per level: [counter on a miss,] children, MAC
+                if cached is None:
+                    chunks, spent = read_spans(node.walk)
+                    counter = unpack(chunks[0])[0]
+                    children = b"".join(chunks[1:-1]) + node.pad
+                else:
+                    chunks, spent = read_spans(node.hit)
+                    counter = cached
+                    children = b"".join(chunks[:-1]) + node.pad
+                accesses += len(chunks)
+                latency_ps += spent
+                if not verify(chunks[-1], node.label, pack(counter & COUNTER_WRAP), children):
+                    raise SecurityError(f"tree MAC mismatch at level {level} node {index}")
+                if level == 1:
+                    # confirm the leaf version we used is the one under this MAC
+                    covered = COUNTER.unpack_from(children, (block % ARITY) * COUNTER_BYTES)
+                    if covered[0] != leaf_version:
+                        raise SecurityError(f"leaf version replay on block {block}")
+                if cached is not None:
+                    return  # cached counters are inside the security perimeter
+                if cache is not None:
+                    cache.insert((level, index), counter)
+                if level == top:
+                    if counter != self.root_counter:
+                        raise SecurityError(
+                            f"root counter mismatch: DRAM={counter} on-chip={self.root_counter}"
+                        )
+                    return
+        finally:
+            # a walk stopped by a mismatch or a device fault keeps what it read
+            self.metadata_accesses += accesses
+            self.metadata_latency_ps += latency_ps
 
     # --- update walk -----------------------------------------------------------------------
 
@@ -411,32 +429,44 @@ class IntegrityTree:
         """
         self.geometry._check_block(block)
         cache = self.cache
-        read_spans = self.device.read_spans
-        write = self._write
+        read_spans, write = self.device.read_spans, self.device.write
         tag = self.mac_key.tag
-        write(self._versions_offset + block * COUNTER_BYTES, pack_counter(new_version))
-        address = self._data_offset + block * BLOCK_SIZE
-        leaf_mac = tag(b"data", pack_counter(address), pack_counter(new_version), ciphertext)
-        write(self._leaf_macs_offset + block * MAC_BYTES, leaf_mac)
-        if cache is not None:
-            cache.insert((0, block), new_version)
-
-        index = block
-        for level, nodes in enumerate(self._nodes, start=1):
-            index //= ARITY
-            address, walk, label, pad = nodes.get(index) or self._node(level, index)
-            (raw,), latency = read_spans(walk[:1])
-            self.metadata_accesses += 1
-            self.metadata_latency_ps += latency
-            counter = unpack_counter(raw) + 1
-            write(address, pack_counter(counter))
-            chunks, latency = read_spans(walk[1:-1])
-            self.metadata_accesses += len(chunks)
-            self.metadata_latency_ps += latency
-            mac = tag(label, pack_counter(counter), b"".join(chunks) + pad)
-            write(address + COUNTER_BYTES, mac)
+        pack, unpack = COUNTER.pack, COUNTER.unpack
+        version = pack(new_version & COUNTER_WRAP)
+        accesses = latency_ps = 0
+        try:
+            latency_ps += write(self._versions_offset + block * COUNTER_BYTES, version)
+            accesses += 1
+            address = pack((self._data_offset + block * BLOCK_SIZE) & COUNTER_WRAP)
+            leaf_mac = tag(b"data", address, version, ciphertext)
+            latency_ps += write(self._leaf_macs_offset + block * MAC_BYTES, leaf_mac)
+            accesses += 1
             if cache is not None:
-                cache.insert((level, index), counter)
+                cache.insert((0, block), new_version)
+
+            index = block
+            for level, nodes in enumerate(self._nodes, start=1):
+                index //= ARITY
+                node = nodes.get(index) or self._node(level, index)
+                (raw,), latency = read_spans(node.counter)
+                accesses += 1
+                latency_ps += latency
+                counter = unpack(raw)[0] + 1
+                stored = pack(counter & COUNTER_WRAP)
+                latency_ps += write(node.address, stored)
+                accesses += 1
+                chunks, latency = read_spans(node.children)
+                accesses += len(chunks)
+                latency_ps += latency
+                mac = tag(node.label, stored, b"".join(chunks) + node.pad)
+                latency_ps += write(node.address + COUNTER_BYTES, mac)
+                accesses += 1
+                if cache is not None:
+                    cache.insert((level, index), counter)
+        finally:
+            # a device fault part-way keeps the accesses made before it
+            self.metadata_accesses += accesses
+            self.metadata_latency_ps += latency_ps
         self.root_counter += 1
 
     # --- batched range paths (bulk FSM transfers) ----------------------------------------

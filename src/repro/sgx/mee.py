@@ -109,6 +109,7 @@ class MemoryEncryptionEngine:
         #: Names this engine's region image in :data:`_IMAGES`; never the keys themselves.
         self._image_key = hashlib.sha256(cipher_key + mac_key + layout.encode()).digest()
         self.tree = IntegrityTree(geometry, device, self._mac, self.cache)
+        self._data_offset = geometry.data_offset
         self.stats = MEEStats()
         self._powered = True
         self._initialized = False
@@ -206,7 +207,7 @@ class MemoryEncryptionEngine:
 
     def _write_block(self, block: int, block_offset: int, chunk: bytes) -> int:
         latency = 0
-        address = self.geometry.block_address(block)
+        address = self._data_offset + block * BLOCK_SIZE  # the caller checked the bounds
         if len(chunk) == BLOCK_SIZE:
             plaintext = chunk
         else:
@@ -230,7 +231,7 @@ class MemoryEncryptionEngine:
         """Verify-and-decrypt ``length`` bytes; returns ``(data, latency)``."""
         self._check_ready()
         self._check_bounds(offset, length)
-        out = bytearray()
+        parts = []
         latency = 0
         position = 0
         while position < length:
@@ -239,13 +240,13 @@ class MemoryEncryptionEngine:
             chunk = min(length - position, BLOCK_SIZE - block_offset)
             plaintext, block_latency = self._read_block(block)
             latency += block_latency
-            out.extend(plaintext[block_offset : block_offset + chunk])
+            parts.append(plaintext[block_offset : block_offset + chunk])
             position += chunk
         self.stats.bytes_read += length
-        return bytes(out), latency
+        return b"".join(parts), latency
 
     def _read_block(self, block: int) -> Tuple[bytes, int]:
-        address = self.geometry.block_address(block)
+        address = self._data_offset + block * BLOCK_SIZE  # the caller checked the bounds
         ciphertext, latency = self.device.read(address, BLOCK_SIZE)
         before = self.tree.metadata_latency_ps
         try:

@@ -1,14 +1,16 @@
 """Differential property test: ``read_spans`` charges what per-span ``read`` does.
 
 Twin devices receive the same writes.  One reads a list of spans with a
-single ``read_spans`` call; the other reads the same spans one ``read``
-at a time, with DRAM's per-length latency memo cleared before every read,
-which is the unmemoized charge.  Words, summed latency and
-``bytes_read`` must agree bit for bit, also when a span crosses a page
-boundary, reads a page never written, follows a ``set_frequency``, or
-faults (out of range, self-refresh, powered-off NVM) after earlier spans
-were charged.  Words are also checked against a plain shadow copy of
-everything written.
+single ``read_spans`` call, the device's one store gather; the other
+reads the same spans one ``read`` at a time, and its latency is worked
+out per span from the device's parameters as they are at that moment,
+with no memo.  Chunks (``bytes``), summed latency and ``bytes_read``
+must agree bit for bit, also when a span crosses a page boundary, reads
+a page never written, is empty, overlaps a write the store holds
+deferred, follows a DRAM ``set_frequency`` or a change of a PCM's read
+bandwidth, or faults (out of range, self-refresh, powered-off NVM) after
+earlier spans were charged.  Chunks are also checked against a plain
+shadow copy of everything written.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from repro.errors import MemoryFault
 from repro.memory.dram import DRAMDevice
 from repro.memory.nvm import PCMDevice
 from repro.memory.store import PAGE_SIZE
+from repro.units import PICOSECONDS_PER_SECOND
 
 CAPACITY = 4 * PAGE_SIZE
 
@@ -27,15 +30,21 @@ def make_device(kind):
     return PCMDevice("pcm", capacity_bytes=CAPACITY)
 
 
+def unmemoized_latency(device, length):
+    """One read's latency from the device's current parameters."""
+    if isinstance(device, DRAMDevice):
+        return device.transfer_latency_ps(length)
+    streaming = length / device.read_bandwidth_bytes_per_s * PICOSECONDS_PER_SECOND
+    return device.base_read_latency_ps + round(streaming)
+
+
 def per_span_reads(device, spans):
-    """One ``read`` per span, with no latency memo carried between them."""
+    """One ``read`` per span, each charged at the unmemoized latency."""
     chunks, latency = [], 0
     for address, length in spans:
-        if isinstance(device, DRAMDevice):
-            device._costs.clear()
-        data, span_latency = device.read(address, length)
+        data, _latency = device.read(address, length)
         chunks.append(data)
-        latency += span_latency
+        latency += unmemoized_latency(device, length)
     return chunks, latency
 
 
@@ -52,11 +61,23 @@ def span_read(device, spans):
     return device.read_spans(spans)
 
 
+class HeldWrite:
+    """An owner holding one write in the device's store until it is read."""
+
+    def __init__(self, device, address, data):
+        self.store, self.address, self.data = device._store, address, data
+        self.store.defer(self, [(address, len(data))])
+
+    def materialize(self):
+        self.store.release()
+        self.store.write(self.address, self.data)
+
+
 spans_strategy = st.lists(
     st.tuples(
         # a few addresses land past the end, so out-of-range faults occur
         st.integers(min_value=0, max_value=CAPACITY + 64),
-        st.integers(min_value=0, max_value=700),
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=700)),
     ),
     min_size=0,
     max_size=8,
@@ -72,13 +93,19 @@ spans_strategy = st.lists(
         ),
         max_size=4,
     ),
+    held=st.one_of(
+        st.none(),
+        st.tuples(
+            st.integers(min_value=0, max_value=CAPACITY - 16), st.binary(min_size=1, max_size=16)
+        ),
+    ),
     warm=spans_strategy,
     spans=spans_strategy,
-    retune_hz=st.sampled_from([None, 0.8e9, 1.333e9, 2.133e9]),
+    retune=st.sampled_from([None, 0.5, 0.8333, 1.333]),
     fault=st.sampled_from([None, "sleep"]),
 )
 @settings(max_examples=150, deadline=None)
-def test_read_spans_matches_per_span_reads(kind, writes, warm, spans, retune_hz, fault):
+def test_read_spans_matches_per_span_reads(kind, writes, held, warm, spans, retune, fault):
     memo, reference = make_device(kind), make_device(kind)
     shadow = bytearray(CAPACITY)
     for address, data in writes:
@@ -86,11 +113,19 @@ def test_read_spans_matches_per_span_reads(kind, writes, warm, spans, retune_hz,
         memo.write(address, data)
         reference.write(address, data)
         shadow[address : address + len(data)] = data
-    # fill the memo at the current frequency before any retune
+    # fill any latency memo at the current parameters before a retune
     assert outcome(span_read, memo, warm) == outcome(per_span_reads, reference, warm)
-    if retune_hz is not None and kind == "dram":
-        memo.set_frequency(retune_hz)
-        reference.set_frequency(retune_hz)
+    if held is not None:
+        address, data = held
+        HeldWrite(memo, address, data)
+        HeldWrite(reference, address, data)
+        shadow[address : address + len(data)] = data
+    if retune is not None:
+        for device in (memo, reference):
+            if kind == "dram":
+                device.set_frequency(1.6e9 * retune)
+            else:
+                device.read_bandwidth_bytes_per_s *= retune
     if fault == "sleep":
         for device in (memo, reference):
             if kind == "dram":
@@ -102,6 +137,7 @@ def test_read_spans_matches_per_span_reads(kind, writes, warm, spans, retune_hz,
     result = got[0]
     if result[0] != "fault":
         chunks, _latency = result
+        assert all(type(chunk) is bytes for chunk in chunks)
         assert chunks == [bytes(shadow[a : a + n]) for a, n in spans]
 
 

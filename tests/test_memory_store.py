@@ -38,6 +38,8 @@ class TestBasics:
         with pytest.raises(MemoryFault):
             memory.write(99, b"ab")
         with pytest.raises(MemoryFault):
+            memory.write(-1, b"a")
+        with pytest.raises(MemoryFault):
             memory.read(-1, 1)
 
     def test_erase_drops_everything(self):
@@ -195,8 +197,13 @@ def _fault(read, *args):
     return str(info.value)
 
 
+def _span_cost(length):
+    """A stand-in for a device's per-length latency."""
+    return 1000 + 3 * length
+
+
 class TestReadSpans:
-    """``read_spans``: one gather that returns what per-span ``read`` does."""
+    """``read_spans``: one charged gather that returns what per-span ``read`` does."""
 
     @given(
         fill=st.sampled_from([0x00, 0x5A]),
@@ -204,29 +211,49 @@ class TestReadSpans:
             st.tuples(st.integers(0, 3 * PAGE_SIZE), st.binary(min_size=1, max_size=200)),
             max_size=5,
         ),
+        held=st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 4 * PAGE_SIZE - 8), st.binary(min_size=1, max_size=8)),
+        ),
         spans=st.lists(
-            st.tuples(st.integers(0, 4 * PAGE_SIZE), st.integers(0, PAGE_SIZE + 100)),
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 4 * PAGE_SIZE),
+                    st.integers(1, 4).map(lambda page: page * PAGE_SIZE - 4),
+                ),
+                st.one_of(st.just(0), st.integers(0, PAGE_SIZE + 100)),
+            ),
             max_size=10,
         ),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_per_span_reads(self, fill, writes, spans):
-        memory = SparseMemory(4 * PAGE_SIZE, fill=fill)
-        for address, data in writes:
-            memory.write(address, data)
+    def test_matches_per_span_reads(self, fill, writes, held, spans):
+        """In-page, page-crossing, unwritten, empty and deferred-overlapping spans:
+        the chunks are ``bytes`` equal to per-span reads, the totals their lengths
+        and costs."""
+        gathered = SparseMemory(4 * PAGE_SIZE, fill=fill)
+        reference = SparseMemory(4 * PAGE_SIZE, fill=fill)
+        for memory in (gathered, reference):
+            for address, data in writes:
+                memory.write(address, data)
+            if held is not None:
+                _Owner(memory, *held)
         spans = [(address, min(length, 4 * PAGE_SIZE - address)) for address, length in spans]
-        chunks = memory.read_spans(spans)
+        chunks, total, charged = gathered.read_spans(spans, _span_cost)
         assert all(type(chunk) is bytes for chunk in chunks)
-        assert chunks == [memory.read(address, length) for address, length in spans]
+        assert chunks == [reference.read(address, length) for address, length in spans]
+        assert total == sum(length for _address, length in spans)
+        assert charged == sum(_span_cost(length) for _address, length in spans)
 
     def test_overlapping_a_deferred_write_materializes_it_first(self):
         memory = SparseMemory(2 * PAGE_SIZE)
         owner = _Owner(memory, PAGE_SIZE - 4, b"held-bytes")
-        assert memory.read_spans([(0, 8)]) == [bytes(8)]  # no overlap: still held
+        assert memory.read_spans([(0, 8)], _span_cost)[0] == [bytes(8)]  # no overlap: held
         assert owner.materialized == 0
-        assert memory.read_spans([(0, 8), (PAGE_SIZE, 4)]) == [bytes(8), b"-byt"]
+        chunks, total, _charged = memory.read_spans([(0, 8), (PAGE_SIZE, 4)], _span_cost)
+        assert (chunks, total) == ([bytes(8), b"-byt"], 12)
         assert owner.materialized == 1
-        assert memory.read_spans([(PAGE_SIZE - 4, 10)]) == [b"held-bytes"]
+        assert memory.read_spans([(PAGE_SIZE - 4, 10)], _span_cost)[0] == [b"held-bytes"]
         assert owner.materialized == 1
 
     @pytest.mark.parametrize(
@@ -235,11 +262,11 @@ class TestReadSpans:
     def test_bad_span_raises_the_fault_read_raises(self, span):
         memory = SparseMemory(2 * PAGE_SIZE)
         want = _fault(memory.read, *span)
-        assert _fault(memory.read_spans, [(0, 8), span, (16, 8)]) == want
+        assert _fault(memory.read_spans, [(0, 8), span, (16, 8)], _span_cost) == want
 
     def test_fault_after_a_deferred_span_materialized_it(self):
         memory = SparseMemory(2 * PAGE_SIZE)
         owner = _Owner(memory, 64, b"held")
-        _fault(memory.read_spans, [(64, 4), (2 * PAGE_SIZE, 1)])
+        _fault(memory.read_spans, [(64, 4), (2 * PAGE_SIZE, 1)], _span_cost)
         assert owner.materialized == 1
         assert memory.read(64, 4) == b"held"

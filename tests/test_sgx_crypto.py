@@ -150,6 +150,19 @@ class TestAgainstStdlibHmac:
             expected = bytes([expected[0] ^ 1]) + expected[1:]
         assert mac.verify(expected, *parts) is not tamper
 
+    @pytest.mark.parametrize("length", [0, 255, 256, 257, 4096])
+    @pytest.mark.parametrize("key", [b"k" * 16, b"K" * 100])
+    def test_tag_parts_across_the_prefix_table_edge(self, key, length):
+        """Parts shorter than 256 bytes take their length prefix from a table,
+        longer ones pack it; both equal the one-message HMAC."""
+        mac = MacKey(key)
+        part = bytes(range(256)) * (length // 256) + bytes(length % 256)
+        for parts in ((part,), (b"label", part, b""), (part, part[:7])):
+            expected = reference_tag(key, *parts)
+            assert mac.tag(*parts) == expected
+            assert mac.verify(expected, *parts)
+            assert not mac.verify(bytes([expected[0] ^ 1]) + expected[1:], *parts)
+
     @given(keys, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
            st.binary(max_size=200))
     @settings(max_examples=150, deadline=None)

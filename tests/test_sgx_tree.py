@@ -104,7 +104,11 @@ def reference_record(geometry, level, index):
             for child in range(count)
         ]
     walk = ((address, COUNTER_BYTES), *children, (address + COUNTER_BYTES, MAC_BYTES))
-    return (address, walk, f"node:{level}:{index}".encode(), bytes((ARITY - count) * COUNTER_BYTES))
+    # a hit reads all but the counter; an update the counter, then the children
+    return (
+        address, walk, walk[1:], walk[:1], walk[1:-1],
+        f"node:{level}:{index}".encode(), bytes((ARITY - count) * COUNTER_BYTES),
+    )
 
 
 class TestWalkRecords:
